@@ -15,6 +15,9 @@
 //   - any allocs/op pin (contains/insert/delete) rising by more than
 //     -alloc-slack (absolute) — allocation counts are deterministic, so
 //     the slack only absorbs AllocsPerRun quantization;
+//   - any B/op pin rising by more than 5% of the baseline, when the
+//     baseline carries B/op — as deterministic as allocs/op, so the same
+//     strictness: 5% is a quarter allocation on a five-allocation update;
 //   - a series present in the baseline but missing from the candidate.
 //
 // Points are matched by thread count, so a -quick candidate sweep
@@ -92,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 1
 	}
-	fmt.Fprintf(stdout, "benchcheck: figure %s: ok (%d baseline series, tolerance -%.0f%% ops/sec, +%.2f allocs/op)\n",
-		baseline.Figure, len(baseline.Series), *maxDrop, *allocSlack)
+	fmt.Fprintf(stdout, "benchcheck: figure %s: ok (%d baseline series, tolerance -%.0f%% ops/sec, +%.2f allocs/op, +%.0f%% B/op)\n",
+		baseline.Figure, len(baseline.Series), *maxDrop, *allocSlack, 100*bench.BytesSlack)
 	return 0
 }

@@ -64,6 +64,35 @@ func TestRunAllocRegressionFails(t *testing.T) {
 	}
 }
 
+func TestRunBytesRegressionFails(t *testing.T) {
+	write := func(dir string, insertBytes float64) string {
+		a := bench.Artifact{Schema: bench.ArtifactSchema, Figure: "9b"}
+		a.Series = []bench.ArtifactSeries{{
+			Name:        "PAT",
+			Points:      []bench.ArtifactPoint{{Threads: 1, MeanOpsPerSec: 1000}},
+			AllocsPerOp: &bench.AllocsProfile{Insert: 5, InsertBytes: insertBytes},
+		}}
+		path, err := bench.WriteArtifact(dir, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := write(t.TempDir(), 504)
+	var out, errb bytes.Buffer
+	// Same allocation count, a fatter object: only B/op sees it.
+	if code := run([]string{base, write(t.TempDir(), 640)}, &out, &errb); code != 1 {
+		t.Fatalf("B/op rise exited %d, want 1", code)
+	}
+	if !strings.Contains(errb.String(), "B/op") {
+		t.Errorf("expected a B/op FAIL line, got %q", errb.String())
+	}
+	errb.Reset()
+	if code := run([]string{base, write(t.TempDir(), 280)}, &out, &errb); code != 0 {
+		t.Fatalf("B/op drop exited %d, want 0: %s", code, errb.String())
+	}
+}
+
 func TestRunUsageAndIOErrors(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run(nil, &out, &errb); code != 2 {

@@ -3,10 +3,10 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
-	"testing"
 
 	"nbtrie/internal/workload"
 )
@@ -25,21 +25,32 @@ import (
 // changes meaning so downstream comparisons fail loudly.
 const ArtifactSchema = "nbtrie-bench/v1"
 
-// AllocsProfile is a benchmem-style allocs/op measurement of the three
-// basic set operations, taken single-threaded and uncontended on a
-// prefilled structure. Throughput tells you how fast an implementation
-// is on this machine today; allocs/op tells you how it will behave under
-// GC pressure anywhere.
+// AllocsProfile is a benchmem-style allocs/op and B/op measurement of
+// the three basic set operations, taken single-threaded and uncontended
+// on a prefilled structure. Throughput tells you how fast an
+// implementation is on this machine today; allocs/op and B/op tell you
+// how it will behave under GC pressure anywhere. The byte fields are
+// additive: artifacts written before them parse with zeros, and
+// benchcheck gates B/op only when the baseline carries it.
 type AllocsProfile struct {
 	Contains float64 `json:"contains"`
 	Insert   float64 `json:"insert"`
 	Delete   float64 `json:"delete"`
+
+	ContainsBytes float64 `json:"contains_bytes,omitempty"`
+	InsertBytes   float64 `json:"insert_bytes,omitempty"`
+	DeleteBytes   float64 `json:"delete_bytes,omitempty"`
 }
 
-// MeasureAllocs profiles allocs/op for a fresh, half-prefilled instance
-// from factory. Every operation is measured on its successful path:
-// Contains alternates a hit and a miss, Insert consumes a pool of absent
-// in-range keys, and Delete removes what Insert just added.
+// hasBytes reports whether the profile carries a B/op measurement.
+func (p *AllocsProfile) hasBytes() bool {
+	return p.ContainsBytes > 0 || p.InsertBytes > 0 || p.DeleteBytes > 0
+}
+
+// MeasureAllocs profiles allocs/op and B/op for a fresh, half-prefilled
+// instance from factory. Every operation is measured on its successful
+// path: Contains alternates a hit and a miss, Insert consumes a pool of
+// absent in-range keys, and Delete removes what Insert just added.
 func MeasureAllocs(factory func() Set, keyRange uint64) AllocsProfile {
 	s := factory()
 	Prefill(s, keyRange, 1)
@@ -62,23 +73,44 @@ func MeasureAllocs(factory func() Set, keyRange uint64) AllocsProfile {
 	}
 	p := AllocsProfile{}
 	miss := absent[0]
-	p.Contains = testing.AllocsPerRun(200, func() {
+	p.Contains, p.ContainsBytes = perRun(200, func() {
 		s.Contains(hit)
 		s.Contains(miss)
-	}) / 2
-	// AllocsPerRun invokes f runs+1 times (one warmup); advancing an
-	// index each call keeps every insert/delete on its successful path.
+	})
+	p.Contains /= 2
+	p.ContainsBytes /= 2
+	// perRun invokes f runs+1 times (one warmup); advancing an index
+	// each call keeps every insert/delete on its successful path.
 	i := 0
-	p.Insert = testing.AllocsPerRun(len(absent)-1, func() {
+	p.Insert, p.InsertBytes = perRun(len(absent)-1, func() {
 		s.Insert(absent[i])
 		i++
 	})
 	j := 0
-	p.Delete = testing.AllocsPerRun(len(absent)-1, func() {
+	p.Delete, p.DeleteBytes = perRun(len(absent)-1, func() {
 		s.Delete(absent[j])
 		j++
 	})
 	return p
+}
+
+// perRun is testing.AllocsPerRun extended to bytes: it calls f once to
+// warm up, then runs times, single-threaded, and returns the
+// allocations per run — truncated to an integer exactly as AllocsPerRun
+// does, so allocs/op stays comparable with older artifacts — and the
+// bytes allocated per run, rounded to the byte.
+func perRun(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 0; r < runs; r++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	n := uint64(runs)
+	return float64((after.Mallocs - before.Mallocs) / n),
+		math.Round(float64(after.TotalAlloc-before.TotalAlloc) / float64(n))
 }
 
 // ArtifactConfig records the experiment parameters that produced an

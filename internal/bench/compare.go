@@ -9,11 +9,11 @@ import (
 // Artifact comparison: the regression gate behind cmd/benchcheck. Two
 // nbtrie-bench/v1 artifacts of the same figure are compared point by
 // point; a drop in throughput beyond the configured tolerance on any
-// shared (series, threads) point, any rise in an allocs/op pin, or a
-// series that vanished entirely is a Regression. Throughput is noisy —
-// CI machines doubly so — hence the generous, configurable drop
-// tolerance; allocs/op is deterministic, so any rise at all (beyond a
-// tiny quantization slack) fails.
+// shared (series, threads) point, any rise in an allocs/op or B/op pin,
+// or a series that vanished entirely is a Regression. Throughput is
+// noisy — CI machines doubly so — hence the generous, configurable drop
+// tolerance; allocs/op and B/op are deterministic, so any rise at all
+// (beyond a tiny quantization slack) fails.
 
 // CompareOptions tunes the regression gate.
 type CompareOptions struct {
@@ -29,10 +29,17 @@ type CompareOptions struct {
 	AllocSlack float64
 }
 
+// BytesSlack is the tolerated relative rise in a B/op pin, as a fraction
+// of the baseline: a pin that grows by more than 5% fails, the same
+// strictness as the default quarter-allocation AllocSlack on an update
+// of about five allocations. B/op is gated only when the baseline
+// profile carries it.
+const BytesSlack = 0.05
+
 // Regression is one detected failure of the gate.
 type Regression struct {
 	Series  string  // legend name, e.g. "PAT-S"
-	Metric  string  // "ops/sec @ N threads", "allocs/op (insert)", "series"
+	Metric  string  // "ops/sec @ N threads", "allocs/op (insert)", "B/op (insert)", "series"
 	Old     float64 // baseline value (0 for structural regressions)
 	New     float64 // candidate value
 	Message string  // human-readable one-liner
@@ -88,6 +95,7 @@ func CompareArtifacts(baseline, candidate Artifact, opt CompareOptions) ([]Regre
 		}
 		regs = append(regs, compareThroughput(base, cand, opt.MaxDrop)...)
 		regs = append(regs, compareAllocs(base, cand, opt.AllocSlack)...)
+		regs = append(regs, compareBytes(base, cand)...)
 		regs = append(regs, compareServerAllocs(base, cand, opt.AllocSlack)...)
 	}
 	return regs, nil
@@ -146,6 +154,45 @@ func compareAllocs(base, cand ArtifactSeries, slack float64) []Regression {
 				Old:    op.old, New: op.new,
 				Message: fmt.Sprintf("%s: %s allocs/op rose %.2f -> %.2f (slack %.2f)",
 					base.Name, op.name, op.old, op.new, slack),
+			})
+		}
+	}
+	return regs
+}
+
+// compareBytes gates the B/op side of the allocation profile. Baselines
+// written before B/op was measured carry none and are not gated. A
+// candidate that allocates but reports no bytes has lost its B/op
+// measurement, which fails like a missing allocs/op profile. A missing
+// candidate profile is reported once, by compareAllocs.
+func compareBytes(base, cand ArtifactSeries) []Regression {
+	if base.AllocsPerOp == nil || !base.AllocsPerOp.hasBytes() || cand.AllocsPerOp == nil {
+		return nil
+	}
+	b, c := base.AllocsPerOp, cand.AllocsPerOp
+	if !c.hasBytes() && c.Contains+c.Insert+c.Delete > 0 {
+		return []Regression{{
+			Series: base.Name, Metric: "B/op",
+			Message: fmt.Sprintf("%s: B/op missing from candidate profile (baseline pins it)", base.Name),
+		}}
+	}
+	ops := []struct {
+		name     string
+		old, new float64
+	}{
+		{"contains", b.ContainsBytes, c.ContainsBytes},
+		{"insert", b.InsertBytes, c.InsertBytes},
+		{"delete", b.DeleteBytes, c.DeleteBytes},
+	}
+	var regs []Regression
+	for _, op := range ops {
+		if op.new > op.old*(1+BytesSlack) {
+			regs = append(regs, Regression{
+				Series: base.Name,
+				Metric: fmt.Sprintf("B/op (%s)", op.name),
+				Old:    op.old, New: op.new,
+				Message: fmt.Sprintf("%s: %s B/op rose %.0f -> %.0f (slack %.0f%%)",
+					base.Name, op.name, op.old, op.new, 100*BytesSlack),
 			})
 		}
 	}

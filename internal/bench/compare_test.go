@@ -85,6 +85,44 @@ func TestCompareArtifactsAllocRegression(t *testing.T) {
 	}
 }
 
+func TestCompareArtifactsBytesRegression(t *testing.T) {
+	prof := func(insertBytes float64) *AllocsProfile {
+		return &AllocsProfile{Insert: 5, Delete: 2, InsertBytes: insertBytes, DeleteBytes: 168}
+	}
+	opt := CompareOptions{MaxDrop: 0.25, AllocSlack: 0.25}
+	base := mkArtifact("9a", mkSeries("PAT", map[int]float64{1: 1000}, prof(504)))
+
+	// A fatter object at the same allocation count: the allocs/op pin
+	// cannot see it, the B/op pin must.
+	cand := mkArtifact("9a", mkSeries("PAT", map[int]float64{1: 1000}, prof(536)))
+	regs, err := CompareArtifacts(base, cand, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regs) != 1 || regs[0].Metric != "B/op (insert)" {
+		t.Fatalf("want one insert B/op regression, got %v", regs)
+	}
+	// Within the slack, and lower, both pass.
+	for _, b := range []float64{520, 280} {
+		cand.Series[0].AllocsPerOp = prof(b)
+		if regs, _ := CompareArtifacts(base, cand, opt); len(regs) != 0 {
+			t.Fatalf("insert %v B/op against 504 must pass, got %v", b, regs)
+		}
+	}
+	// A candidate that stops measuring bytes while still allocating fails.
+	cand.Series[0].AllocsPerOp = &AllocsProfile{Insert: 5, Delete: 2}
+	regs, _ = CompareArtifacts(base, cand, opt)
+	if len(regs) != 1 || regs[0].Metric != "B/op" {
+		t.Fatalf("dropped B/op must regress, got %v", regs)
+	}
+	// A baseline without B/op (written before it existed) gates nothing.
+	old := mkArtifact("9a", mkSeries("PAT", map[int]float64{1: 1000}, &AllocsProfile{Insert: 8, Delete: 2}))
+	cand.Series[0].AllocsPerOp = prof(9999)
+	if regs, _ := CompareArtifacts(old, cand, opt); len(regs) != 0 {
+		t.Fatalf("baseline without B/op must not gate bytes, got %v", regs)
+	}
+}
+
 func TestCompareArtifactsMissingSeries(t *testing.T) {
 	base := mkArtifact("9b",
 		mkSeries("PAT", map[int]float64{1: 1000}, nil),

@@ -36,10 +36,11 @@
 // unboxed in the leaf, descriptors are built from fixed-size arrays
 // that live on the caller's stack, and speculative node construction is
 // deferred until the captured info values are known not to belong to a
-// conflicting update. The one allocation that must never be optimized
-// away is the fresh Unflag written by every unflag CAS: reusing Unflag
-// objects would let a node's info field repeat a value, re-opening the
-// ABA window the paper closes.
+// conflicting update. A node is born with a nil info field rather than
+// an Unflag of its own, and every later Unflag is a one-word object. The
+// one allocation that must never be optimized away is that fresh Unflag
+// written by every unflag CAS: reusing Unflag objects would let a node's
+// info field repeat a value, re-opening the ABA window the paper closes.
 package engine
 
 import (
@@ -79,12 +80,17 @@ type node[K keys.Key[K], V any] struct {
 	// is untouched, and readers never observe a half-written value.
 	val V
 
-	// info stores a pointer to the descriptor of the update operating on
-	// this node (a Flag object), or a fresh unflag descriptor when no
-	// update is in progress. It is never nil: the paper uses allocated
-	// Unflag objects rather than null precisely so that info values never
-	// repeat and flag CASes cannot suffer ABA.
-	info atomic.Pointer[desc[K, V]]
+	// info is the paper's info field: the Flag of the update operating on
+	// this node (a pointer to the info embedded in that update's desc),
+	// or an Unflag when no update is in progress. Its values never
+	// repeat, which is what keeps flag CASes free of ABA. The paper
+	// starts every node with a fresh Unflag; here a node starts with nil
+	// instead, which is just as unique: nil is the value before the first
+	// write, and every write — flag, unflag and backtrack CASes, and the
+	// rmvLeaf store — stores a non-nil pointer, so nil never comes back.
+	// A leaf's info is never a CAS target at all; it is written at most
+	// once, by the plain rmvLeaf store of a general-case replace.
+	info atomic.Pointer[info[K, V]]
 
 	// child holds the left (0) and right (1) children of a binary
 	// internal node (trie span 1, the paper's layout). Keeping the two
@@ -136,8 +142,8 @@ func (n *node[K, V]) census(skip int) (live int, sib *node[K, V]) {
 	return live, sib
 }
 
-// newLeaf returns a leaf node with the given full-length label, a zero
-// value payload and a fresh unflag descriptor.
+// newLeaf returns a leaf node with the given full-length label and a zero
+// value payload. Like every new node its info starts nil (see node.info).
 func newLeaf[K keys.Key[K], V any](label K) *node[K, V] {
 	var zero V
 	return newLeafVal(label, zero)
@@ -145,27 +151,13 @@ func newLeaf[K keys.Key[K], V any](label K) *node[K, V] {
 
 // newLeafVal returns a leaf node carrying a value payload.
 func newLeafVal[K keys.Key[K], V any](label K, val V) *node[K, V] {
-	n := &node[K, V]{label: label, leaf: true, val: val}
-	n.info.Store(newUnflag[K, V]())
-	return n
-}
-
-// newInternal returns an internal node with the given label, children and
-// snapshot generation. The children must already be ordered: left's bit at
-// the label length is 0.
-func newInternal[K keys.Key[K], V any](label K, left, right *node[K, V], gen uint64) *node[K, V] {
-	n := &node[K, V]{label: label, gen: gen}
-	n.info.Store(newUnflag[K, V]())
-	n.child[0].Store(left)
-	n.child[1].Store(right)
-	return n
+	return &node[K, V]{label: label, leaf: true, val: val}
 }
 
 // newNode returns an empty internal node of the trie's fanout with the
 // given label and generation; the caller stores the children.
 func (t *Trie[K, V]) newNode(label K, gen uint64) *node[K, V] {
 	n := &node[K, V]{label: label, gen: gen}
-	n.info.Store(newUnflag[K, V]())
 	if t.span > 1 {
 		n.ext = make([]atomic.Pointer[node[K, V]], 1<<t.span)
 	}
@@ -208,19 +200,25 @@ func (t *Trie[K, V]) copyNodeSet(n *node[K, V], gen uint64, slotA int, a *node[K
 	return c
 }
 
-// descKind discriminates the two Info subtypes of the paper.
-type descKind uint8
+// info is the paper's Info object as stored in a node's info field, one
+// word long. An Unflag is a fresh &info{} (op nil), allocated for every
+// unflag and backtrack CAS so that a node's info field never repeats a
+// value; the allocation is load-bearing, since a delayed flag CAS
+// comparing against a recycled Unflag could succeed long after its
+// update was decided (ABA). Do not pool or intern these, and do not make
+// info zero-sized: Go may give every zero-sized allocation the same
+// address. A Flag is &d.self for the update's descriptor d, whose op
+// points back at d, so flagging needs no allocation beyond d itself.
+type info[K keys.Key[K], V any] struct {
+	op *desc[K, V]
+}
 
-const (
-	kindUnflag descKind = iota + 1 // no update in progress at the node
-	kindFlag                       // an update owns the node
-)
+// flagged reports whether i is a Flag. nil (a node never written) and an
+// Unflag are not.
+func (i *info[K, V]) flagged() bool { return i != nil && i.op != nil }
 
-// desc is the paper's Info object. A desc with kind == kindUnflag uses no
-// other field; a fresh unflag is allocated for every unflagging so that a
-// node's info field never repeats a value. A desc with kind == kindFlag
-// describes one update operation completely, so that any process reading
-// it can finish the update (help).
+// desc describes one update operation completely, so that any process
+// reading its Flag can finish the update (help).
 //
 // Fixed-size arrays with explicit lengths keep each descriptor to a single
 // allocation; an update flags at most four internal nodes and changes at
@@ -228,7 +226,9 @@ const (
 // the same fixed-size arrays as stack values, so a failed attempt
 // allocates nothing at all.
 type desc[K keys.Key[K], V any] struct {
-	kind descKind
+	// self is the update's Flag: the value its flag CASes install and
+	// its unflag and backtrack CASes expect. self.op == the desc itself.
+	self info[K, V]
 
 	nFlag   uint8 // entries used in flag/oldInfo
 	nUnflag uint8 // entries used in unflag
@@ -237,7 +237,7 @@ type desc[K keys.Key[K], V any] struct {
 	// flag lists the internal nodes to flag, sorted by label; oldInfo[i]
 	// is the expected prior value of flag[i].info for the flag CAS.
 	flag    [4]*node[K, V]
-	oldInfo [4]*desc[K, V]
+	oldInfo [4]*info[K, V]
 
 	// unflag lists the flagged nodes that remain in the trie and must be
 	// unflagged once the child CASes are done. Nodes in flag but not in
@@ -261,16 +261,6 @@ type desc[K keys.Key[K], V any] struct {
 	// node was unflagged" from "flagging failed, back off" (lines 93-106).
 	flagDone atomic.Bool
 }
-
-// newUnflag allocates a fresh Unflag descriptor. The allocation is
-// load-bearing: each unflag CAS must install a pointer the node's info
-// field has never held before, or a delayed flag CAS comparing against a
-// recycled Unflag could succeed long after its update was decided (ABA).
-// Do not pool or intern these.
-func newUnflag[K keys.Key[K], V any]() *desc[K, V] { return &desc[K, V]{kind: kindUnflag} }
-
-// flagged reports whether d is a Flag descriptor.
-func (d *desc[K, V]) flagged() bool { return d.kind == kindFlag }
 
 // Trie is the shared non-blocking Patricia trie over encoded keys K with
 // unboxed value payloads V. All methods are safe for concurrent use by
@@ -405,7 +395,7 @@ func (t *Trie[K, V]) curGen() uint64 { return t.root.Load().gen }
 // rmvd⟩ returned by search.
 type searchResult[K keys.Key[K], V any] struct {
 	gp, p, node   *node[K, V]
-	gpInfo, pInfo *desc[K, V]
+	gpInfo, pInfo *info[K, V]
 	rmvd          bool
 }
 
@@ -441,11 +431,11 @@ func (t *Trie[K, V]) search(v K) searchResult[K, V] {
 // child no longer being a child of pNode[0] (Lemma 41). A nil pNode[0] is
 // the root-CAS sentinel: the replace's insert half replaced the root node
 // itself, so the check is against the trie's root pointer.
-func (t *Trie[K, V]) logicallyRemoved(i *desc[K, V]) bool {
+func (t *Trie[K, V]) logicallyRemoved(i *info[K, V]) bool {
 	if !i.flagged() {
 		return false
 	}
-	p, old := i.pNode[0], i.oldChild[0]
+	p, old := i.op.pNode[0], i.op.oldChild[0]
 	if p == nil {
 		return t.root.Load() != old
 	}

@@ -16,6 +16,7 @@ import (
 type (
 	unode = node[keys.Uint64Key, any]
 	udesc = desc[keys.Uint64Key, any]
+	uinfo = info[keys.Uint64Key, any]
 )
 
 // testTrie wraps the engine with a width so tests can speak uint64 user
@@ -53,6 +54,14 @@ func mustNew(t *testing.T, width uint32, opts ...Option[keys.Uint64Key, any]) te
 
 func newTestLeaf(tt testTrie, k uint64) *unode {
 	return newLeaf[keys.Uint64Key, any](tt.enc(k))
+}
+
+// newTestFlag returns an empty Flag descriptor for tests that fabricate
+// protocol states by hand; &d.self is its Flag.
+func newTestFlag() *udesc {
+	d := &udesc{}
+	d.self.op = d
+	return d
 }
 
 func TestEngineBasicRoundTrip(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"nbtrie/internal/keys"
 )
@@ -27,8 +28,9 @@ func TestHelpBacktracksOnStaleFlag(t *testing.T) {
 	if a.leaf || b.leaf {
 		t.Fatal("test setup: expected internal children")
 	}
-	stale := newUnflag[keys.Uint64Key, any]() // never the current info of b
-	d := &udesc{kind: kindFlag, nFlag: 2, nUnflag: 2}
+	stale := &uinfo{} // never the current info of b
+	d := newTestFlag()
+	d.nFlag, d.nUnflag = 2, 2
 	d.flag[0], d.flag[1] = a, b
 	d.oldInfo[0], d.oldInfo[1] = a.info.Load(), stale
 	d.unflag[0], d.unflag[1] = a, b
@@ -50,6 +52,69 @@ func TestHelpBacktracksOnStaleFlag(t *testing.T) {
 	}
 }
 
+// TestNilBornInfoNoABA is the regression test for nodes born with a nil
+// info field. A descriptor captures a fresh internal node's nil info;
+// another update then flags and unflags that node. Since no write ever
+// stores nil, the node's info cannot return to the captured value, so
+// the stale descriptor's flag CAS must fail and help must backtrack,
+// leaving the trie exactly as the other update left it.
+func TestNilBornInfoNoABA(t *testing.T) {
+	tr := mustNew(t, 8)
+	tr.Store(4, "four")
+	tr.Store(5, "five") // joins leaves 4 and 5 under a fresh internal node
+
+	r := tr.search(tr.enc(5))
+	if r.p.leaf || r.pInfo != nil {
+		t.Fatalf("setup: want a fresh internal parent with nil info, got %v", r.pInfo)
+	}
+	// The descriptor of an overwrite of key 5, built but not yet run.
+	stale := tr.newDesc(
+		[4]*unode{r.p}, [4]*uinfo{r.pInfo}, 1,
+		[2]*unode{r.p}, 1,
+		[2]*unode{r.p}, [2]*unode{r.node},
+		[2]*unode{newLeafVal[keys.Uint64Key, any](tr.enc(5), "stale")}, 1,
+		nil)
+	if stale == nil {
+		t.Fatal("setup: newDesc rejected a nil capture")
+	}
+
+	// Overwriting key 4 flags and then unflags the same parent.
+	tr.Store(4, "FOUR")
+	if i := r.p.info.Load(); i == nil || i.flagged() {
+		t.Fatalf("parent info after flag+unflag = %v, want a fresh Unflag", i)
+	}
+
+	if tr.help(stale) {
+		t.Fatal("help must fail: the captured nil info is gone for good")
+	}
+	if stale.flagDone.Load() {
+		t.Error("flagDone must stay false on a failed attempt")
+	}
+	if r.p.info.Load().flagged() {
+		t.Error("the stale Flag must not remain on the parent")
+	}
+	if v, ok := tr.Load(5); !ok || v != "five" {
+		t.Errorf("Load(5) = %v, %v; the stale overwrite must not land", v, ok)
+	}
+	if v, ok := tr.Load(4); !ok || v != "FOUR" {
+		t.Errorf("Load(4) = %v, %v", v, ok)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestUnflagIsOneWord pins the Unflag object, allocated by every unflag
+// and backtrack CAS, at one pointer: the identity it provides needs no
+// more, and a descriptor-sized Unflag costs a 160 B allocation per
+// update. It must not shrink to zero either: Go may give all zero-sized
+// allocations one address, which would make Unflags repeat.
+func TestUnflagIsOneWord(t *testing.T) {
+	if got, want := unsafe.Sizeof(uinfo{}), unsafe.Sizeof(uintptr(0)); got != want {
+		t.Errorf("info is %d bytes, want one word (%d)", got, want)
+	}
+}
+
 // TestHelpIsIdempotent re-runs help on an already-completed descriptor:
 // every CAS must fail harmlessly and the result stay true.
 func TestHelpIsIdempotent(t *testing.T) {
@@ -62,7 +127,7 @@ func TestHelpIsIdempotent(t *testing.T) {
 		t.Fatal("setup: makeInternal failed")
 	}
 	d := tr.newDesc(
-		[4]*unode{r.p}, [4]*udesc{r.pInfo}, 1,
+		[4]*unode{r.p}, [4]*uinfo{r.pInfo}, 1,
 		[2]*unode{r.p}, 1,
 		[2]*unode{r.p}, [2]*unode{r.node}, [2]*unode{newNode}, 1,
 		nil)
@@ -90,7 +155,7 @@ func TestNewDescDuplicateHandling(t *testing.T) {
 
 	// Same node twice with the same oldInfo: deduplicated to one entry.
 	d := tr.newDesc(
-		[4]*unode{n, n}, [4]*udesc{info, info}, 2,
+		[4]*unode{n, n}, [4]*uinfo{info, info}, 2,
 		[2]*unode{n, n}, 2,
 		[2]*unode{n}, [2]*unode{nil}, [2]*unode{newTestLeaf(tr, 1)}, 1,
 		nil)
@@ -103,7 +168,7 @@ func TestNewDescDuplicateHandling(t *testing.T) {
 
 	// Same node with different oldInfo: the node changed between reads.
 	if tr.newDesc(
-		[4]*unode{n, n}, [4]*udesc{info, newUnflag[keys.Uint64Key, any]()}, 2,
+		[4]*unode{n, n}, [4]*uinfo{info, {}}, 2,
 		[2]*unode{n}, 1,
 		[2]*unode{n}, [2]*unode{nil}, [2]*unode{newTestLeaf(tr, 1)}, 1,
 		nil) != nil {
@@ -111,9 +176,9 @@ func TestNewDescDuplicateHandling(t *testing.T) {
 	}
 
 	// A flagged oldInfo: the conflicting update gets helped, nil returned.
-	flagged := &udesc{kind: kindFlag}
+	flagged := newTestFlag()
 	if tr.newDesc(
-		[4]*unode{n}, [4]*udesc{flagged}, 1,
+		[4]*unode{n}, [4]*uinfo{&flagged.self}, 1,
 		[2]*unode{n}, 1,
 		[2]*unode{n}, [2]*unode{nil}, [2]*unode{newTestLeaf(tr, 1)}, 1,
 		nil) != nil {
@@ -142,7 +207,7 @@ func TestNewDescSortsByLabel(t *testing.T) {
 		t.Fatalf("setup: want >=3 internal nodes, got %d", len(internals))
 	}
 	ns := [4]*unode{internals[2], internals[0], internals[1]}
-	is := [4]*udesc{ns[0].info.Load(), ns[1].info.Load(), ns[2].info.Load()}
+	is := [4]*uinfo{ns[0].info.Load(), ns[1].info.Load(), ns[2].info.Load()}
 	d := tr.newDesc(ns, is, 3,
 		[2]*unode{ns[0]}, 1,
 		[2]*unode{ns[0]}, [2]*unode{nil}, [2]*unode{newTestLeaf(tr, 1)}, 1,
@@ -172,15 +237,16 @@ func TestLogicallyRemovedPredicate(t *testing.T) {
 	// Fabricate a replace-style flag whose pNode still points at
 	// oldChild: not yet removed.
 	p := tr.search(tr.enc(5)).p
-	d := &udesc{kind: kindFlag, nPNode: 1}
+	d := newTestFlag()
+	d.nPNode = 1
 	d.pNode[0] = p
 	d.oldChild[0] = leaf5
-	if tr.logicallyRemoved(d) {
+	if tr.logicallyRemoved(&d.self) {
 		t.Error("leaf still linked under pNode[0] is not removed")
 	}
 	// Once oldChild is no longer a child of pNode[0], it is removed.
 	d.oldChild[0] = newTestLeaf(tr, 9)
-	if !tr.logicallyRemoved(d) {
+	if !tr.logicallyRemoved(&d.self) {
 		t.Error("leaf unlinked from pNode[0] must report removed")
 	}
 }
@@ -200,12 +266,12 @@ func TestMakeInternalConflictHelps(t *testing.T) {
 	nodeInfo := r.node.info.Load()
 	nn := tr.makeInternal(tr.copyNode(r.node, tr.curGen()), newTestLeaf(tr, 9), nodeInfo)
 	d := tr.newDesc(
-		[4]*unode{r.p}, [4]*udesc{r.pInfo}, 1,
+		[4]*unode{r.p}, [4]*uinfo{r.pInfo}, 1,
 		[2]*unode{r.p}, 1,
 		[2]*unode{r.p}, [2]*unode{r.node}, [2]*unode{nn}, 1,
 		nil)
 	tr.help(d)
-	if tr.makeInternal(a, b, d) != nil {
+	if tr.makeInternal(a, b, &d.self) != nil {
 		t.Error("conflict with flagged info must still yield nil")
 	}
 	if err := tr.Validate(); err != nil {
@@ -257,10 +323,11 @@ func TestOrderedSkipsLogicallyRemoved(t *testing.T) {
 	tr := mustNew(t, 8)
 	tr.Insert(50)
 	leaf := tr.search(tr.enc(50)).node
-	d := &udesc{kind: kindFlag, nPNode: 1}
+	d := newTestFlag()
+	d.nPNode = 1
 	d.pNode[0] = tr.root.Load()
 	d.oldChild[0] = newTestLeaf(tr, 1) // not a child: "removed"
-	leaf.info.Store(d)
+	leaf.info.Store(&d.self)
 	if _, ok := tr.Trie.Ceiling(tr.enc(0)); ok {
 		t.Error("logically removed leaf surfaced from Ceiling")
 	}
@@ -294,9 +361,9 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	}
 
 	// A reachable flagged node at quiescence is a violation.
-	d := &udesc{kind: kindFlag}
+	d := newTestFlag()
 	old := c0.info.Load()
-	c0.info.Store(d)
+	c0.info.Store(&d.self)
 	if tr.Validate() == nil {
 		t.Error("Validate must detect reachable flagged node")
 	}

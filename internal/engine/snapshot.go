@@ -90,11 +90,11 @@ func (s *Snapshot[K, V]) Len() int { return int(s.n) }
 // all in-flight mutations — so its leaf was already physically
 // unlinked and cannot be reached from the snapshot root at all; the
 // structural check below is kept as a defensive fallback.)
-func (s *Snapshot[K, V]) removed(i *desc[K, V]) bool {
+func (s *Snapshot[K, V]) removed(i *info[K, V]) bool {
 	if !i.flagged() {
 		return false
 	}
-	p, old := i.pNode[0], i.oldChild[0]
+	p, old := i.op.pNode[0], i.op.oldChild[0]
 	if p == nil {
 		// Root-CAS sentinel: the replace's insert half swapped the root
 		// node itself. The displaced root (oldChild[0], always internal)
@@ -223,7 +223,7 @@ restart:
 // c certifies the copy is faithful (the same Lemma 31 argument as
 // copyNode). On any conflict the attempt is abandoned after helping;
 // the caller re-descends either way.
-func (t *Trie[K, V]) renewChild(p *node[K, V], pInfo *desc[K, V], c *node[K, V], g uint64) {
+func (t *Trie[K, V]) renewChild(p *node[K, V], pInfo *info[K, V], c *node[K, V], g uint64) {
 	t.stats.SnapshotRenewals.Inc()
 	cInfo := c.info.Load()
 	if t.helpConflict(pInfo, cInfo, nil, nil) {
@@ -231,7 +231,7 @@ func (t *Trie[K, V]) renewChild(p *node[K, V], pInfo *desc[K, V], c *node[K, V],
 	}
 	nc := t.copyNode(c, g)
 	i := t.newDesc(
-		[4]*node[K, V]{p, c}, [4]*desc[K, V]{pInfo, cInfo}, 2,
+		[4]*node[K, V]{p, c}, [4]*info[K, V]{pInfo, cInfo}, 2,
 		[2]*node[K, V]{p}, 1,
 		[2]*node[K, V]{p}, [2]*node[K, V]{c}, [2]*node[K, V]{nc}, 1,
 		nil)

@@ -36,8 +36,13 @@ func TestServerPathAllocPins(t *testing.T) {
 			}
 			// The full SET path must be exactly codec + engine: if this
 			// grows, something beyond the store and the one Detach crept in.
+			// The engine's share is an overwrite: fresh leaf, descriptor
+			// and the one-word Unflag of the unflag CAS.
 			if p.Set < p.SetCodec {
 				t.Errorf("full SET %.1f below its codec share %.1f — probe broken", p.Set, p.SetCodec)
+			}
+			if p.Set > 1+3 {
+				t.Errorf("full SET: %.1f allocs/op, pinned at 4 (1 codec + 3 engine overwrite)", p.Set)
 			}
 			t.Logf("%s: get=%.1f exists=%.1f del=%.1f mget=%.1f set=%.1f set_codec=%.1f",
 				mode, p.Get, p.Exists, p.Del, p.MGet, p.Set, p.SetCodec)

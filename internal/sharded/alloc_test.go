@@ -36,3 +36,42 @@ func TestShardedReadPathDoesNotAllocate(t *testing.T) {
 		t.Errorf("sharded Contains/Load allocate %v objects per call, want 0", n)
 	}
 }
+
+// TestShardedUpdateAllocationBudgets: routing adds nothing to the
+// engine's update budgets (internal/core/alloc_test.go), so each shard
+// allocates exactly what the fixed-width trie does.
+func TestShardedUpdateAllocationBudgets(t *testing.T) {
+	const (
+		insertAllocBudget    = 5 // fresh leaf, displaced-leaf copy, joining node, descriptor, Unflag
+		overwriteAllocBudget = 3 // fresh leaf, descriptor, Unflag
+		deleteAllocBudget    = 2 // descriptor, Unflag
+	)
+	tr, err := New[uint64](16, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 1<<12; k += 3 {
+		tr.Store(k, k)
+	}
+	if n := testing.AllocsPerRun(500, func() { tr.Store(3, 4) }); n > overwriteAllocBudget {
+		t.Errorf("sharded overwrite allocates %v objects, budget %d", n, overwriteAllocBudget)
+	}
+	k := uint64(1)
+	if n := testing.AllocsPerRun(500, func() {
+		if !tr.Store(k, k) {
+			t.Fatal("insert Store failed")
+		}
+		k += 3
+	}); n > insertAllocBudget {
+		t.Errorf("sharded insert allocates %v objects, budget %d", n, insertAllocBudget)
+	}
+	k = 1
+	if n := testing.AllocsPerRun(500, func() {
+		if !tr.Delete(k) {
+			t.Fatal("Delete failed")
+		}
+		k += 3
+	}); n > deleteAllocBudget {
+		t.Errorf("sharded delete allocates %v objects, budget %d", n, deleteAllocBudget)
+	}
+}

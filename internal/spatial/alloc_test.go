@@ -11,13 +11,13 @@ import "testing"
 // raising a budget.
 
 const (
-	// insertAllocBudget: fresh leaf + its unflag, copy of the displaced
-	// leaf + its unflag, joining internal node + its unflag, the Flag
-	// descriptor, and the fresh Unflag of the unflag CAS.
-	insertAllocBudget = 8
-	// overwriteAllocBudget: fresh leaf + its unflag, the Flag
-	// descriptor, and the unflag-CAS Unflag.
-	overwriteAllocBudget = 4
+	// insertAllocBudget: fresh leaf, copy of the displaced leaf, joining
+	// internal node, the Flag descriptor, and the Unflag of the unflag
+	// CAS. New nodes are born with a nil info, so no Unflag of their own.
+	insertAllocBudget = 5
+	// overwriteAllocBudget: fresh leaf, the Flag descriptor, and the
+	// unflag-CAS Unflag.
+	overwriteAllocBudget = 3
 	// deleteAllocBudget: the Flag descriptor and the unflag-CAS Unflag
 	// (the sibling is re-linked, not rebuilt).
 	deleteAllocBudget = 2
