@@ -91,6 +91,7 @@ func TestDaemonBadFlags(t *testing.T) {
 		{"-aof"}, // -aof without -dir
 		{"-appendfsync", "sometimes"},
 		{"-dir", os.DevNull + "/nope", "-save", "-1"},
+		{"-dispatch", "conn"}, // there is one dispatch path, so no such flag
 	} {
 		if err := run(ctx, args, &out, &errOut); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)

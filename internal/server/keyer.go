@@ -35,9 +35,9 @@ type Keyer interface {
 	// it on keys read back out of the trie.
 	Decode(k uint64) []byte
 	// DecodeAppend appends the wire form of k to dst and returns the
-	// extended slice, so hot paths (SCAN replies, AOF re-rendering in
-	// affine dispatch) can reuse one scratch buffer instead of
-	// allocating per key. Same domain restriction as Decode.
+	// extended slice, so a caller rendering many keys (a dump walk)
+	// can reuse one scratch buffer instead of allocating per key. Same
+	// domain restriction as Decode.
 	DecodeAppend(dst []byte, k uint64) []byte
 }
 

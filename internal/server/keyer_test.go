@@ -104,8 +104,8 @@ func TestBytesKeyerExhaustiveShort(t *testing.T) {
 
 // TestDecodeAppend: DecodeAppend must agree with Decode and extend the
 // caller's buffer in place, and the Encode/DecodeAppend pair must be
-// allocation-free once scratch is warm — the server's affine dispatch
-// re-renders AOF keys with it on every mutation.
+// allocation-free once scratch is warm, so a dump walk can render every
+// key through one scratch buffer.
 func TestDecodeAppend(t *testing.T) {
 	b := BytesKeyer{}
 	d := DecimalKeyer{KeyWidth: 63}

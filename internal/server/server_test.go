@@ -65,15 +65,20 @@ func dial(t *testing.T, addr string) *testClient {
 // do sends one command and reads one reply.
 func (c *testClient) do(args ...string) resp.Value {
 	c.t.Helper()
-	c.w.WriteCommandString(args...)
-	if err := c.w.Flush(); err != nil {
-		c.t.Fatal(err)
-	}
-	v, err := resp.ReadReply(c.r, resp.Limits{})
+	v, err := c.try(args...)
 	if err != nil {
 		c.t.Fatalf("%v: %v", args, err)
 	}
 	return v
+}
+
+// try is do without failing the test, for use off the test goroutine.
+func (c *testClient) try(args ...string) (resp.Value, error) {
+	c.w.WriteCommandString(args...)
+	if err := c.w.Flush(); err != nil {
+		return resp.Value{}, err
+	}
+	return resp.ReadReply(c.r, resp.Limits{})
 }
 
 func (c *testClient) mustSimple(want string, args ...string) {
@@ -184,6 +189,11 @@ func TestServerPipelining(t *testing.T) {
 	for i := 0; i < n; i++ {
 		c.w.WriteCommandString("SET", fmt.Sprintf("k%03d", i%50), fmt.Sprintf("v%d", i))
 		c.w.WriteCommandString("GET", fmt.Sprintf("k%03d", i%50))
+		if i%50 == 49 {
+			// An inline command mid-burst must slot into the reply
+			// stream exactly here, after every SET before it.
+			c.w.WriteCommandString("DBSIZE")
+		}
 	}
 	if err := c.w.Flush(); err != nil {
 		t.Fatal(err)
@@ -202,6 +212,12 @@ func TestServerPipelining(t *testing.T) {
 		}
 		if want := fmt.Sprintf("v%d", i); get.Kind != resp.TypeBulk || string(get.Str) != want {
 			t.Fatalf("pipelined GET %d = %s, want %q (in-order replies)", i, get, want)
+		}
+		if i%50 == 49 {
+			size, err := resp.ReadReply(c.r, resp.Limits{})
+			if err != nil || size.Kind != resp.TypeInt || size.Int != 50 {
+				t.Fatalf("pipelined DBSIZE after SET %d = %s, %v; want 50", i, size, err)
+			}
 		}
 	}
 }
@@ -555,141 +571,6 @@ func TestServerFlushesBeforeBlockingOnPartialCommand(t *testing.T) {
 	}
 	if v, err = resp.ReadReply(r, resp.Limits{}); err != nil || string(v.Str) != "PONG" {
 		t.Fatalf("second reply = %s, %v", v, err)
-	}
-}
-
-// TestServerAffineBasics: the full command surface behaves identically
-// under -dispatch=affine — routed single-key commands, inline
-// multi-key/admin commands, errors, and case-insensitivity.
-func TestServerAffineBasics(t *testing.T) {
-	_, addr := startServer(t, Config{Dispatch: "affine"})
-	c := dial(t, addr)
-
-	c.mustSimple("PONG", "PING")
-	c.mustNull("GET", "nope")
-	c.mustSimple("OK", "SET", "foo", "bar")
-	c.mustBulk("bar", "GET", "foo")
-	c.mustInt(1, "EXISTS", "foo")
-	c.mustInt(1, "DEL", "foo")
-	c.mustInt(0, "DEL", "foo")
-	c.mustNull("GET", "foo")
-	c.mustSimple("OK", "set", "k", "v") // lowercase routes too
-	c.mustBulk("v", "gEt", "k")
-	c.mustSimple("OK", "MSET", "a", "1", "b", "2")
-	v := c.do("MGET", "a", "k", "nope")
-	if v.Kind != resp.TypeArray || len(v.Array) != 3 ||
-		string(v.Array[0].Str) != "1" || string(v.Array[1].Str) != "v" || !v.Array[2].IsNull() {
-		t.Fatalf("MGET = %s", v)
-	}
-	c.mustErrContain("unknown command", "FLUSHALL")
-	c.mustErrContain("9 bytes exceeds", "SET", "eightbyte", "v")
-	info := c.do("INFO")
-	if info.Kind != resp.TypeBulk || !strings.Contains(string(info.Str), "dispatch:affine") {
-		t.Fatalf("INFO must report affine dispatch: %s", info)
-	}
-	c.mustSimple("OK", "QUIT")
-}
-
-// TestServerAffinePipelinedOrdering: a deep pipelined burst mixing
-// routed commands (different shards, same keys repeatedly) with inline
-// barrier commands must come back strictly in request order — the
-// reassembly protocol's core promise.
-func TestServerAffinePipelinedOrdering(t *testing.T) {
-	s, addr := startServer(t, Config{Dispatch: "affine", Shards: 8})
-	if s.DB().Shards() != 8 {
-		t.Fatalf("shards = %d", s.DB().Shards())
-	}
-	c := dial(t, addr)
-
-	const rounds = 300 // several affineBurstMax rings' worth
-	for i := 0; i < rounds; i++ {
-		key := fmt.Sprintf("k%d", i%17)
-		c.w.WriteCommandString("SET", key, fmt.Sprintf("v%d", i))
-		c.w.WriteCommandString("GET", key)
-		if i%50 == 49 {
-			// Inline command mid-burst: forces a drain barrier and must
-			// slot into the reply stream exactly here.
-			c.w.WriteCommandString("DBSIZE")
-		}
-	}
-	if err := c.w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < rounds; i++ {
-		set, err := resp.ReadReply(c.r, resp.Limits{})
-		if err != nil {
-			t.Fatalf("SET reply %d: %v", i, err)
-		}
-		if set.Kind != resp.TypeSimple || string(set.Str) != "OK" {
-			t.Fatalf("SET %d = %s", i, set)
-		}
-		get, err := resp.ReadReply(c.r, resp.Limits{})
-		if err != nil {
-			t.Fatalf("GET reply %d: %v", i, err)
-		}
-		// Same-key FIFO through one shard ring: the GET pipelined right
-		// after its SET must observe exactly that SET's value.
-		if want := fmt.Sprintf("v%d", i); get.Kind != resp.TypeBulk || string(get.Str) != want {
-			t.Fatalf("GET %d = %s, want %q (per-key order broken)", i, get, want)
-		}
-		if i%50 == 49 {
-			size, err := resp.ReadReply(c.r, resp.Limits{})
-			if err != nil || size.Kind != resp.TypeInt {
-				t.Fatalf("DBSIZE reply %d: %s, %v", i, size, err)
-			}
-		}
-	}
-}
-
-// TestServerAffineConcurrentClients: many routers fanning into the same
-// shard workers, with -race watching the op hand-off protocol.
-func TestServerAffineConcurrentClients(t *testing.T) {
-	s, addr := startServer(t, Config{Dispatch: "affine"})
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer conn.Close()
-			r := bufio.NewReader(conn)
-			wr := resp.NewWriter(bufio.NewWriter(conn))
-			mine := fmt.Sprintf("own%d", id)
-			for i := 0; i < 300; i++ {
-				wr.WriteCommandString("SET", mine, fmt.Sprintf("%d", i))
-				wr.WriteCommandString("SET", "shared", fmt.Sprintf("w%d-%d", id, i))
-				wr.WriteCommandString("GET", mine)
-				wr.WriteCommandString("DEL", "victim")
-				wr.WriteCommandString("SET", "victim", "v")
-			}
-			if err := wr.Flush(); err != nil {
-				t.Error(err)
-				return
-			}
-			for i := 0; i < 300*5; i++ {
-				v, err := resp.ReadReply(r, resp.Limits{})
-				if err != nil {
-					t.Errorf("worker %d reply %d: %v", id, i, err)
-					return
-				}
-				if i%5 == 2 { // the GET of the worker's own key
-					if want := fmt.Sprintf("%d", i/5); string(v.Str) != want {
-						t.Errorf("worker %d own-key GET = %s, want %q", id, v, want)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	n := s.DB().Len()
-	if n < workers+1 || n > workers+2 {
-		t.Fatalf("DBSIZE = %d, want %d or %d", n, workers+1, workers+2)
 	}
 }
 

@@ -1,8 +1,6 @@
 package settest
 
 import (
-	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -59,18 +57,22 @@ func TestKitAgainstLockedReference(t *testing.T) {
 	Run(t, newLockedSet)
 }
 
-// tornSet implements Replace non-atomically (delete, yield, insert). The
-// linearizability machinery must be able to catch the resulting torn
-// reads; this guards the kit itself against vacuity.
+// tornSet implements Replace non-atomically: delete, then insert. Between
+// the two it parks on a channel until released, so a test can read inside
+// the torn window on every run. The linearizability machinery must catch
+// the resulting torn reads; this guards the kit itself against vacuity.
 type tornSet struct {
 	lockedSet
+	parked  chan struct{} // receives once the old key is gone
+	release chan struct{} // closed to let the insert proceed
 }
 
 func (s *tornSet) Replace(old, new uint64) bool {
 	if !s.Delete(old) {
 		return false
 	}
-	runtime.Gosched() // widen the torn window
+	s.parked <- struct{}{}
+	<-s.release
 	if !s.Insert(new) {
 		s.Insert(old) // crude rollback; still observably torn
 		return false
@@ -79,40 +81,31 @@ func (s *tornSet) Replace(old, new uint64) bool {
 }
 
 func TestKitDetectsTornReplace(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	const trials = 400
-	for trial := 0; trial < trials; trial++ {
-		s := &tornSet{lockedSet{m: map[uint64]bool{1: true}}}
-		// Seed key 1 is present; worker A replaces 1->2 repeatedly while
-		// worker B reads both keys. A torn window shows both absent.
-		rec := linearizable.NewRecorder()
-		rec.Record(linearizable.Insert, 1, 0, func() bool { return false }) // key 1 pre-inserted
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			rec.Record(linearizable.Replace, 1, 2, func() bool { return s.Replace(1, 2) })
-		}()
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(trial)))
-			for i := 0; i < 4; i++ {
-				k := uint64(1 + rng.Intn(2))
-				rec.Record(linearizable.Contains, k, 0, func() bool { return s.Contains(k) })
-			}
-		}()
-		wg.Wait()
-		// The pre-insert was recorded with result false but applied to a
-		// set that already contained 1; fix the record to reflect the
-		// actual initial insertion.
-		h := rec.History()
-		h[0].Result = true
-		h[0].Start, h[0].End = -2, -1
-		if !linearizable.Check(h) {
-			return // anomaly caught: the kit is not vacuous
+	s := &tornSet{
+		lockedSet: lockedSet{m: map[uint64]bool{1: true}},
+		parked:    make(chan struct{}),
+		release:   make(chan struct{}),
+	}
+	// Key 1 is present from the start; one worker replaces 1->2 while
+	// the reader, parked inside the torn window, sees both keys absent.
+	rec := linearizable.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rec.Record(linearizable.Replace, 1, 2, func() bool { return s.Replace(1, 2) })
+	}()
+	<-s.parked
+	for _, k := range []uint64{1, 2} {
+		if rec.Record(linearizable.Contains, k, 0, func() bool { return s.Contains(k) }) {
+			t.Fatalf("Contains(%d) inside the torn window = true, want false", k)
 		}
 	}
-	t.Skip("torn replace not observed in this run (scheduling-dependent); kit vacuity not disproven")
+	close(s.release)
+	<-done
+	h := append([]linearizable.Op{{Kind: linearizable.Insert, Key: 1, Result: true, Start: -2, End: -1}}, rec.History()...)
+	if linearizable.Check(h) {
+		t.Fatalf("torn Replace passed the linearizability check: %v", h)
+	}
 }
 
 // lockedMap is the trivially correct reference for the map battery.

@@ -187,10 +187,9 @@ func (m *ShardedMap[V]) SameShard(a, b uint64) bool {
 }
 
 // ShardOf returns the index (in [0, Shards())) of the shard owning k,
-// and false for keys outside the map's width. Shard-affine callers —
-// nbtried's -dispatch=affine routes each single-key command to a
-// per-shard worker with it — get the same partition the map itself
-// uses, so "same shard" here means "no contention there".
+// and false for keys outside the map's width. It is the partition the
+// map itself uses, so callers can measure how evenly a key set spreads
+// across shards.
 func (m *ShardedMap[V]) ShardOf(k uint64) (int, bool) {
 	return m.t.ShardOf(k)
 }
