@@ -132,8 +132,8 @@ func crashBattery(t *testing.T, cycles int) {
 			t.Fatal(err)
 		}
 		got, ok := srv.DB().Load(kk)
-		if !ok || string(got) != v {
-			t.Fatalf("acked key %q lost or damaged after %d crash cycles (got %q, ok=%v)", k, cycles, got, ok)
+		if !ok || string(got.Value) != v {
+			t.Fatalf("acked key %q lost or damaged after %d crash cycles (got %q, ok=%v)", k, cycles, got.Value, ok)
 		}
 	}
 	t.Logf("%d crash cycles: %d acknowledged writes, zero lost", cycles, len(acked))

@@ -179,12 +179,19 @@ func (t *Trie[V]) Replace(old, new uint64) bool {
 // value if present (lock-free upsert). It returns false only for
 // out-of-range keys, which cannot be stored.
 func (t *Trie[V]) Store(k uint64, val V) bool {
+	_, _, ok := t.Swap(k, val)
+	return ok
+}
+
+// Swap is Store that also returns the value it replaced (loaded false
+// when k was absent). ok is false only for out-of-range keys.
+func (t *Trie[V]) Swap(k uint64, val V) (old V, loaded, ok bool) {
 	v, ok := t.encodeOK(k)
 	if !ok {
-		return false
+		return old, false, false
 	}
-	t.e.Store(v, val)
-	return true
+	old, loaded = t.e.Swap(v, val)
+	return old, loaded, true
 }
 
 // LoadOrStore returns the value bound to k if present (loaded == true);
@@ -207,6 +214,15 @@ func (t *Trie[V]) LoadOrStore(k uint64, val V) (actual V, loaded, ok bool) {
 func (t *Trie[V]) CompareAndSwap(k uint64, old, new V) bool {
 	v, ok := t.encodeOK(k)
 	return ok && t.e.CompareAndSwap(v, old, new)
+}
+
+// UpdateFunc rebinds k to f(cur) when k is present and f approves its
+// current value, returning true iff the update happened (out-of-range
+// keys are absent). f may run more than once under contention and must
+// be side-effect free.
+func (t *Trie[V]) UpdateFunc(k uint64, f func(cur V) (V, bool)) bool {
+	v, ok := t.encodeOK(k)
+	return ok && t.e.UpdateFunc(v, f)
 }
 
 // CompareAndDelete deletes k if its stored value equals old (interface

@@ -7,8 +7,9 @@ import (
 )
 
 // runEngineOps drives the shared engine through an operation sequence —
-// the full surface: Insert, Delete, Contains, Replace, Store, Load,
-// LoadOrStore, CompareAndSwap, CompareAndDelete — against a Go map
+// the full surface: Insert, Delete, Contains, Replace, Store (as Swap),
+// Load, LoadOrStore, CompareAndSwap (through UpdateFunc),
+// CompareAndDelete — against a Go map
 // oracle, and checks the structural invariants at the end. The byte
 // stream decodes to (op, key, key2/value) triples, so a fuzzer can
 // construct adversarial shapes (prefix pile-ups, replace chains,
@@ -59,8 +60,12 @@ func runEngineOps(t *testing.T, data []byte, span uint32) {
 				oracle[arg] = oracle[k]
 				delete(oracle, k)
 			}
-		case 4: // Store
-			tr.Store(enc(k), val)
+		case 4: // Store, through Swap so the replaced value is checked too
+			e := oracle[k]
+			old, loaded := tr.Swap(enc(k), val)
+			if loaded != e.present || (loaded && old != e.val) {
+				t.Fatalf("op %d: Swap(%d,%d) = %d,%v oracle %+v", i, k, val, old, loaded, e)
+			}
 			oracle[k] = entry{present: true, val: val}
 		case 5: // Load
 			e := oracle[k]

@@ -23,7 +23,13 @@ package engine
 
 // Store binds the encoded key v to val, inserting the key if absent and
 // overwriting the value if present (lock-free upsert).
-func (t *Trie[K, V]) Store(v K, val V) {
+func (t *Trie[K, V]) Store(v K, val V) { t.Swap(v, val) }
+
+// Swap is Store that also returns the value it replaced (loaded ==
+// false when v was absent and has been inserted). The returned value is
+// the one held by the leaf the overwrite's child CAS unlinked, so it is
+// exactly the binding this update superseded.
+func (t *Trie[K, V]) Swap(v K, val V) (old V, loaded bool) {
 	t.snapMu.RLock()
 	defer t.snapMu.RUnlock()
 	for first := true; ; first = false {
@@ -34,12 +40,12 @@ func (t *Trie[K, V]) Store(v K, val V) {
 		if !keyInTrie(r.node, v, r.rmvd) {
 			if t.tryInsert(v, val, r) {
 				t.count.Add(1)
-				return
+				return old, false
 			}
 			continue
 		}
 		if t.tryOverwrite(v, val, r) {
-			return
+			return r.node.val, true
 		}
 	}
 }
@@ -76,6 +82,17 @@ func valuesEqual[V any](a, b V) bool {
 // value equals old (interface equality; old must be comparable). It
 // returns true iff the swap happened.
 func (t *Trie[K, V]) CompareAndSwap(v K, old, new V) bool {
+	return t.UpdateFunc(v, func(cur V) (V, bool) { return new, valuesEqual(cur, old) })
+}
+
+// UpdateFunc rebinds v to f(cur) when v is present and f approves its
+// current value cur (ok == true), returning true iff the update
+// happened — the overwrite twin of DeleteFunc. f runs on the value read
+// at search time and the flag CAS on the parent pins that leaf until the
+// overwrite commits, so the value f approved is the value replaced. f
+// may be called multiple times (once per retry) and must be side-effect
+// free.
+func (t *Trie[K, V]) UpdateFunc(v K, f func(cur V) (V, bool)) bool {
 	t.snapMu.RLock()
 	defer t.snapMu.RUnlock()
 	for first := true; ; first = false {
@@ -86,10 +103,11 @@ func (t *Trie[K, V]) CompareAndSwap(v K, old, new V) bool {
 		if !keyInTrie(r.node, v, r.rmvd) {
 			return false
 		}
-		if !valuesEqual(r.node.val, old) {
+		val, ok := f(r.node.val)
+		if !ok {
 			return false
 		}
-		if t.tryOverwrite(v, new, r) {
+		if t.tryOverwrite(v, val, r) {
 			return true
 		}
 	}

@@ -1,34 +1,25 @@
-// Package expiry is nbtried's key-expiry subsystem: a secondary,
-// deadline-ordered index over the primary key space, built from the same
-// non-blocking Patricia-trie engine as the primary map and kept loosely
-// consistent with it.
+// Package expiry is nbtried's keyspace: a sharded non-blocking Patricia
+// trie with one leaf per key holding the key's value and its TTL, plus
+// a deadline-ordered wake-up index for the background reaper.
 //
-// Two tries make up an Index:
+// A leaf's payload is an Entry{Value, Arming}, so value and deadline are
+// one linearizable object, a read of an armed key is one descent, and
+// every command is one update of the leaf: SET and SETEX a Swap, EXPIRE
+// and PERSIST a conditional UpdateFunc, DEL and a purge a DeleteFunc, a
+// same-shard RENAME the paper's Replace, which carries the arming along.
 //
-//   - entries, a sharded trie mapping primary key → Entry{deadline, seq},
-//     sharded identically to the primary map so a key's TTL lives on the
-//     same shard partition as its value (one extra wait-free descent on
-//     the read path, no cross-shard traffic);
-//   - byDeadline, a single ordered trie mapping deadline<<20|seq →
-//     primary key. Packing the deadline into the top bits makes trie
-//     order deadline order, so "everything due by now" is one Ascend
-//     range scan and "when must the reaper next wake" is one Min — the
-//     ordered-traversal dividend of the Patricia trie (the paper's
-//     structure keeps keys in bit order for free; a hash index would
-//     need a separate heap).
+// The arming is one word, deadlineMS<<20 | seq (0: no TTL); the 20-bit
+// seq, from a global counter, keeps armings unique within a millisecond.
+// The same word keys the arming's wake node in byDeadline, an ordered
+// trie mapping arming → key, so trie order is deadline order: "what is
+// due by now" is one range scan and "when must the reaper wake" one Min.
 //
-// The seq suffix (20 bits, from a global counter) makes index keys
-// unique even when many keys share one deadline millisecond; 43 bits
-// remain for the deadline, which covers Unix-milliseconds past year
-// 2500.
-//
-// Loose consistency, precisely: entries is authoritative; byDeadline is
-// a hint. A racing re-EXPIRE can briefly leave a byDeadline node whose
-// entry has moved on — the reaper detects the mismatch (the entry it
-// loads no longer matches the node's deadline) and discards the stale
-// node without touching the key. Every purge is therefore
-// entry-conditional (CompareAndDelete on the Entry, value-conditional
-// DeleteFunc on the primary), never a blind delete.
+// byDeadline is only a hint; the leaf is truth. A wake node is inserted
+// before its arming is published and deleted by whoever supersedes or
+// removes that arming; the reaper purges a key only if its leaf still
+// holds the node's arming, and drops the node either way. At quiescence
+// the wake nodes are exactly the armed keys. DESIGN.md §12 has the
+// protocol.
 package expiry
 
 import (
@@ -40,7 +31,7 @@ import (
 )
 
 const (
-	// seqBits is the width of the uniquifying suffix in byDeadline keys.
+	// seqBits is the width of the uniquifying suffix of an arming.
 	seqBits = 20
 	seqMask = (1 << seqBits) - 1
 
@@ -54,34 +45,40 @@ const (
 	MaxDeadlineMS = int64(1)<<(idxWidth-seqBits) - 1
 )
 
-// Entry is one key's expiry record: the absolute deadline and the
-// uniquifying sequence number its byDeadline node carries. Entry is
-// comparable, so the conditional trie operations (CompareAndDelete) work
-// on it directly — an Entry value identifies one specific arming of one
-// key's TTL.
+// Entry is one key's leaf payload: its value and its arming,
+// deadlineMS<<20 | seq, or 0 when the key has no TTL.
 type Entry struct {
-	DeadlineMS int64
-	Seq        uint64
+	Value  []byte
+	Arming uint64
 }
 
-// idxKey packs the entry into its byDeadline key.
-func (e Entry) idxKey() uint64 {
-	return uint64(e.DeadlineMS)<<seqBits | e.Seq
+// DeadlineMS returns e's absolute deadline in Unix milliseconds, 0 when
+// e has no TTL.
+func (e Entry) DeadlineMS() int64 { return int64(e.Arming >> seqBits) }
+
+// Due reports whether e is armed with a deadline at or before nowMS.
+func (e Entry) Due(nowMS int64) bool { return e.Arming != 0 && e.DeadlineMS() <= nowMS }
+
+// same reports whether have is exactly e: the same arming and the same
+// value allocation (backing array and length; a zero-length value has
+// no element to anchor on). A value stored by a racing SET never
+// matches, even with equal bytes.
+func (e Entry) same(have Entry) bool {
+	return have.Arming == e.Arming && len(have.Value) == len(e.Value) &&
+		(len(e.Value) == 0 || &have.Value[0] == &e.Value[0])
 }
 
-// Index is the deadline-ordered expiry index. All methods are safe for
-// unrestricted concurrent use; consistency between the index and the
-// primary map it annotates is the caller's protocol (see the package
-// comment and DESIGN.md §12).
+// Index is the keyspace and its wake-up index. All methods are safe for
+// unrestricted concurrent use.
 type Index struct {
-	entries    *sharded.Trie[Entry]
+	keys       *sharded.Trie[Entry]
 	byDeadline *core.Trie[uint64]
 	seq        atomic.Uint64
 
 	// Reaper coordination: armed holds the deadline the reaper is
-	// currently sleeping toward (MaxInt64 when idle scanning); Set sends
-	// on wake — capacity 1, non-blocking — when it installs an earlier
-	// deadline, so the reaper can never sleep past work.
+	// currently sleeping toward (MaxInt64 when idle scanning); a new
+	// wake node sends on wake — capacity 1, non-blocking — when its
+	// deadline is earlier, so the reaper can never sleep past work.
 	armed atomic.Int64
 	wake  chan struct{}
 
@@ -89,11 +86,16 @@ type Index struct {
 	passes  atomic.Uint64
 }
 
-// New returns an empty index for primary keys of the given width,
-// sharded shardCount ways (same constraints as the primary map — use the
-// primary's width and shard count so the partition lines up).
+// New returns an empty keyspace over keys in [0, 2^width), sharded
+// shardCount ways (the constraints of sharded.New).
 func New(width uint32, shardCount int) (*Index, error) {
-	entries, err := sharded.New[Entry](width, shardCount)
+	return NewSpan(width, shardCount, 1)
+}
+
+// NewSpan is New with each shard's trie built at digit width span (see
+// sharded.NewSpan); 1 is New.
+func NewSpan(width uint32, shardCount int, span uint32) (*Index, error) {
+	keys, err := sharded.NewSpan[Entry](width, shardCount, span)
 	if err != nil {
 		return nil, err
 	}
@@ -101,47 +103,48 @@ func New(width uint32, shardCount int) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	x := &Index{entries: entries, byDeadline: byDeadline, wake: make(chan struct{}, 1)}
+	x := &Index{keys: keys, byDeadline: byDeadline, wake: make(chan struct{}, 1)}
 	x.armed.Store(math.MaxInt64)
 	return x, nil
 }
 
-// setRetryLap bounds how many consecutive seq-collision retries Set
+// Keys returns the keyspace trie for reads, counts, snapshots and
+// stats; mutate only through the Index, which keeps the wake nodes in
+// step.
+func (x *Index) Keys() *sharded.Trie[Entry] { return x.keys }
+
+// Lookup returns k's entry, due or not. Wait-free and allocation-free.
+func (x *Index) Lookup(k uint64) (Entry, bool) {
+	return x.keys.Load(k)
+}
+
+// setRetryLap bounds how many consecutive seq-collision retries newWake
 // makes at one millisecond before degrading to a neighboring one: a
 // full lap of the suffix space in production (every slot provably
 // probed); tests lower it to exercise the exhaustion path without
 // arming 2^20 keys.
 var setRetryLap = seqMask
 
-// clampDeadline forces a deadline into the representable range.
+// clampDeadline forces a deadline into [1, MaxDeadlineMS]; the floor
+// keeps every arming nonzero, so 0 can mean "no TTL".
 func clampDeadline(ms int64) int64 {
-	if ms < 0 {
-		return 0
-	}
-	if ms > MaxDeadlineMS {
-		return MaxDeadlineMS
-	}
-	return ms
+	return min(max(ms, 1), MaxDeadlineMS)
 }
 
-// Set arms (or re-arms) k's deadline. The byDeadline node is inserted
-// before the entry is published, so the reaper can never observe an
-// entry without a node to find it by; the previous arming's node, if
-// any, is removed afterwards (on a lost race it survives as a stale node
-// for the reaper to discard). Finally the reaper is woken if the new
-// deadline is earlier than what it is sleeping toward. It returns the
-// Entry now in force; its deadline can differ from the requested one by
-// the representable-range clamp or, when every seq slot of a
-// millisecond is occupied, by the neighboring-millisecond fallback.
-func (x *Index) Set(k uint64, deadlineMS int64) Entry {
-	deadlineMS = clampDeadline(deadlineMS)
-	old, had := x.entries.Load(k)
-	e := Entry{DeadlineMS: deadlineMS}
+// newWake inserts a wake node for k at deadlineMS and returns its
+// arming, waking the reaper if the deadline is earlier than the one it
+// sleeps toward. The arming's deadline can differ from the requested one
+// by the clamp or by the full-millisecond fallback below.
+func (x *Index) newWake(k uint64, deadlineMS int64) uint64 {
+	d := clampDeadline(deadlineMS)
 	down := false
 	for tries := 0; ; tries++ {
-		e.Seq = x.seq.Add(1) & seqMask
-		if x.byDeadline.InsertValue(e.idxKey(), k) {
-			break
+		a := uint64(d)<<seqBits | x.seq.Add(1)&seqMask
+		if x.byDeadline.InsertValue(a, k) {
+			if d < x.armed.Load() {
+				x.notify()
+			}
+			return a
 		}
 		// Seq collision after 2^20 wraps at one millisecond: take the
 		// next counter value and retry. If a full lap finds every seq
@@ -151,62 +154,130 @@ func (x *Index) Set(k uint64, deadlineMS int64) Entry {
 		// a hair late is invisible), walk earlier once the clamp ceiling
 		// is hit so the search still terminates.
 		if tries >= setRetryLap {
-			if down || e.DeadlineMS >= MaxDeadlineMS {
+			if down || d >= MaxDeadlineMS {
 				down = true
-				e.DeadlineMS--
+				d--
 			} else {
-				e.DeadlineMS++
+				d++
 			}
 			tries = -1
 		}
 	}
-	x.entries.Store(k, e)
-	if had {
-		x.byDeadline.CompareAndDelete(old.idxKey(), k)
-	}
-	if e.DeadlineMS < x.armed.Load() {
-		x.notify()
-	}
-	return e
 }
 
-// Clear removes k's deadline (PERSIST, or a plain SET overwriting a
-// TTL'd key), returning true iff an arming was removed.
-func (x *Index) Clear(k uint64) bool {
-	for {
-		e, ok := x.entries.Load(k)
-		if !ok {
-			return false
-		}
-		if x.entries.CompareAndDelete(k, e) {
-			x.byDeadline.CompareAndDelete(e.idxKey(), k)
-			return true
-		}
-		// Lost a race with a concurrent Set/Clear of the same key; the
-		// authoritative entry changed under us — reload and retry.
+// dropWake deletes the wake node of a superseded or removed arming.
+func (x *Index) dropWake(arming uint64) {
+	if arming != 0 {
+		x.byDeadline.Delete(arming)
 	}
 }
 
-// Lookup returns k's current arming, if any. Wait-free, allocation-free
-// (one sharded-trie descent): this is the read-path check.
-func (x *Index) Lookup(k uint64) (Entry, bool) {
-	return x.entries.Load(k)
+// Store binds k to v (SET, SETEX, recovery), armed at deadlineMS, or
+// with no TTL when deadlineMS is 0: one Swap, after which the replaced
+// arming's wake node is dropped.
+func (x *Index) Store(k uint64, v []byte, deadlineMS int64) {
+	e := Entry{Value: v}
+	if deadlineMS != 0 {
+		e.Arming = x.newWake(k, deadlineMS)
+	}
+	old, _, ok := x.keys.Swap(k, e)
+	if !ok {
+		old.Arming = e.Arming // k out of range: nothing was stored
+	}
+	x.dropWake(old.Arming)
 }
 
-// Remove deletes k's arming only if it is still exactly e — the
-// conditional half of a purge. Returns true iff the entry was removed by
-// this call. The byDeadline node is removed best-effort either way.
+// Set re-arms k at deadlineMS, or drops its TTL when deadlineMS is 0,
+// due or not; an absent k stays absent. It returns the entry now in
+// force, the zero Entry when k is absent. AOF replay uses it; live
+// commands use Expire.
+func (x *Index) Set(k uint64, deadlineMS int64) Entry {
+	_, next, _ := x.rearm(k, deadlineMS, func(Entry) bool { return true })
+	return next
+}
+
+// Expire is Set only while k is live at nowMS: present and not due. It
+// returns k's entry as the update saw it and whether k was live; a due
+// prev is the caller's to purge. Re-arm and a racing purge are two
+// conditional updates of one leaf, so they cannot both take effect.
+func (x *Index) Expire(k uint64, deadlineMS, nowMS int64) (prev Entry, live bool) {
+	prev, _, live = x.rearm(k, deadlineMS, func(cur Entry) bool { return !cur.Due(nowMS) })
+	return prev, live
+}
+
+// rearm gives k a fresh arming at deadlineMS (none when 0) if cond
+// approves k's entry: prev is the entry cond saw, next the entry now in
+// force, ok whether cond approved. Dropping the TTL of an unarmed key
+// leaves the leaf alone.
+func (x *Index) rearm(k uint64, deadlineMS int64, cond func(Entry) bool) (prev, next Entry, ok bool) {
+	var a uint64
+	if deadlineMS != 0 {
+		a = x.newWake(k, deadlineMS)
+	}
+	var write bool
+	applied := x.keys.UpdateFunc(k, func(cur Entry) (Entry, bool) {
+		prev, next, ok = cur, Entry{Value: cur.Value, Arming: a}, cond(cur)
+		write = ok && cur.Arming != a
+		return next, write
+	})
+	if write && !applied {
+		// The approved write lost its CAS and the retry found k gone:
+		// the results of that attempt no longer describe k.
+		prev, next, ok = Entry{}, Entry{}, false
+	}
+	if applied {
+		x.dropWake(prev.Arming)
+	} else {
+		x.dropWake(a)
+	}
+	return prev, next, ok
+}
+
+// Delete removes k, returning the entry it held.
+func (x *Index) Delete(k uint64) (prev Entry, ok bool) {
+	ok = x.keys.DeleteFunc(k, func(cur Entry) bool {
+		prev = cur
+		return true
+	})
+	if ok {
+		x.dropWake(prev.Arming)
+	}
+	return prev, ok
+}
+
+// Remove deletes k only if it still holds exactly e: the purge. A key
+// re-armed, overwritten or re-stored since e was read survives.
 func (x *Index) Remove(k uint64, e Entry) bool {
-	if !x.entries.CompareAndDelete(k, e) {
+	if !x.keys.DeleteFunc(k, e.same) {
 		return false
 	}
-	x.byDeadline.CompareAndDelete(e.idxKey(), k)
+	x.dropWake(e.Arming)
 	return true
 }
 
-// Earliest returns the soonest armed deadline, if any arming exists.
-// Stale nodes can make it report a deadline whose arming has moved on —
-// harmless, the reaper's scan discards them.
+// Move renames from to to: sharded.MoveKey, or sharded.Replace with
+// atomicOnly (RENAMESTRICT). The arming travels inside the moved Entry,
+// so the destination is never seen without its TTL; the destination is
+// then re-armed at the same deadline, moving the wake node to its key.
+func (x *Index) Move(from, to uint64, atomicOnly bool) (moved bool, err error) {
+	if atomicOnly {
+		moved, err = x.keys.Replace(from, to)
+	} else {
+		moved, err = x.keys.MoveKey(from, to)
+	}
+	if moved {
+		if e, ok := x.keys.Load(to); ok && e.Arming != 0 {
+			x.rearm(to, e.DeadlineMS(), func(cur Entry) bool { return cur.Arming == e.Arming })
+		}
+	}
+	return moved, err
+}
+
+// Len reports the number of armed keys: the wake-node count, exact at
+// quiescence.
+func (x *Index) Len() int { return x.byDeadline.Len() }
+
+// Earliest returns the soonest armed deadline, if any.
 func (x *Index) Earliest() (deadlineMS int64, ok bool) {
 	idx, ok := x.byDeadline.Min()
 	if !ok {
@@ -217,7 +288,7 @@ func (x *Index) Earliest() (deadlineMS int64, ok bool) {
 
 // Arm records the deadline the reaper is about to sleep toward. Calling
 // Arm(math.MaxInt64) before scanning for the next deadline closes the
-// missed-wakeup window: any Set landing after that store sees an
+// missed-wakeup window: any arming landing after that store sees an
 // "infinitely late" armed value and notifies.
 func (x *Index) Arm(deadlineMS int64) { x.armed.Store(deadlineMS) }
 
@@ -232,41 +303,28 @@ func (x *Index) notify() {
 	}
 }
 
-// Reap scans everything due at or before nowMS in deadline order. For
-// each candidate whose arming still matches its node, purge is invoked
-// with the key and its Entry; purge owns the actual removal protocol
-// (value-conditional primary delete, then Remove) and reports whether it
-// expired the key. Nodes whose arming moved on are discarded. Reap
-// returns the number of keys purge reported expired; it also counts one
-// reaper pass.
+// Reap scans every wake node due at or before nowMS in deadline order,
+// calls purge (normally Remove) for each whose key still holds the
+// node's arming, and drops the node either way. It returns the number of
+// keys purge reported expired, and counts one reaper pass.
 func (x *Index) Reap(nowMS int64, purge func(k uint64, e Entry) bool) int {
 	x.passes.Add(1)
-	limit := uint64(clampDeadline(nowMS))<<seqBits | seqMask
-	type cand struct{ idx, key uint64 }
+	limit := uint64(min(max(nowMS, 0), MaxDeadlineMS))<<seqBits | seqMask
+	type cand struct{ arming, key uint64 }
 	var cands []cand
-	x.byDeadline.AscendKV(0, func(idx uint64, key uint64) bool {
-		if idx > limit {
+	x.byDeadline.AscendKV(0, func(arming uint64, key uint64) bool {
+		if arming > limit {
 			return false
 		}
-		cands = append(cands, cand{idx, key})
+		cands = append(cands, cand{arming, key})
 		return true
 	})
 	n := 0
 	for _, c := range cands {
-		e, ok := x.entries.Load(c.key)
-		if !ok || e.idxKey() != c.idx {
-			// Stale node: the arming it described was cleared or
-			// replaced. Drop the node; the key is not touched.
-			x.byDeadline.CompareAndDelete(c.idx, c.key)
-			continue
-		}
-		if purge(c.key, e) {
+		if e, ok := x.keys.Load(c.key); ok && e.Arming == c.arming && purge(c.key, e) {
 			n++
 		}
-		// purge's Remove already dropped the node on success; on a lost
-		// race (concurrent re-arm) this conditional delete is a no-op
-		// for the new arming and cleanup for the old.
-		x.byDeadline.CompareAndDelete(c.idx, c.key)
+		x.byDeadline.CompareAndDelete(c.arming, c.key)
 	}
 	return n
 }
@@ -278,31 +336,4 @@ func (x *Index) NoteExpired() { x.expired.Add(1) }
 // Stats returns the lifetime counters: keys expired and reaper passes.
 func (x *Index) Stats() (expired, passes uint64) {
 	return x.expired.Load(), x.passes.Load()
-}
-
-// Len reports the number of armed keys (per-shard-exact counter sum,
-// same contract as the primary map's Len).
-func (x *Index) Len() int { return x.entries.Len() }
-
-// Snapshot returns a frozen view of the armings — an O(shards) cut of
-// the entries trie, taken by the server under its persistence gate next
-// to the primary snapshot so dumps see one consistent (value, deadline)
-// cut per key.
-func (x *Index) Snapshot() *Snapshot {
-	return &Snapshot{s: x.entries.Snapshot()}
-}
-
-// Snapshot is a point-in-time view of the index's armings.
-type Snapshot struct {
-	s *sharded.Snapshot[Entry]
-}
-
-// DeadlineMS returns k's absolute deadline in the cut, 0 when k had no
-// TTL at the cut.
-func (s *Snapshot) DeadlineMS(k uint64) int64 {
-	e, ok := s.s.Load(k)
-	if !ok {
-		return 0
-	}
-	return e.DeadlineMS
 }

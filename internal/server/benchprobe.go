@@ -70,7 +70,7 @@ func MeasureServerPathAllocs(valueSize int) (PathAllocs, error) {
 		if err != nil {
 			return err
 		}
-		s.db.Store(k, bytes.Clone(val))
+		s.db.Store(k, bytes.Clone(val), 0)
 		return nil
 	}
 	for _, key := range []string{"key:123", "aa", "ab"} {
@@ -80,15 +80,15 @@ func MeasureServerPathAllocs(valueSize int) (PathAllocs, error) {
 	}
 	// Arm far-future TTLs on the MGET keys so the pins cover BOTH sides
 	// of the lazy expiry check: GET/EXISTS/SET on key:123 take the
-	// no-arming fast path (one index miss), MGET's aa/ab take the
-	// arming-present path (index hit + clock comparison). Both must stay
+	// no-arming fast path (no clock read), MGET's aa/ab take the
+	// arming-present path (clock comparison). Both must stay
 	// allocation-free.
 	for _, key := range []string{"aa", "ab"} {
 		k, err := s.keyer.Encode([]byte(key))
 		if err != nil {
 			return PathAllocs{}, err
 		}
-		s.exp.Set(k, expiry.MaxDeadlineMS)
+		s.db.Set(k, expiry.MaxDeadlineMS)
 	}
 
 	measure := func(wire []byte) float64 {
@@ -128,7 +128,7 @@ func MeasureServerPathAllocs(valueSize int) (PathAllocs, error) {
 	if err != nil {
 		return PathAllocs{}, err
 	}
-	engine := testing.AllocsPerRun(200, func() { s.db.Store(k, val) })
+	engine := testing.AllocsPerRun(200, func() { s.db.Store(k, val, 0) })
 	p.SetCodec = p.Set - engine
 	if p.SetCodec < 0 {
 		p.SetCodec = 0

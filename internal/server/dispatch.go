@@ -8,8 +8,9 @@ import (
 	"strings"
 	"time"
 
-	"nbtrie"
+	"nbtrie/internal/expiry"
 	"nbtrie/internal/resp"
+	"nbtrie/internal/sharded"
 )
 
 // session is one connection's dispatch state: the reply writer plus the
@@ -92,8 +93,8 @@ func (ss *session) dispatchCmd(cmd []byte, args [][]byte) (quit bool) {
 		if !ok {
 			return
 		}
-		if v, found := s.getLive(k); found {
-			w.WriteBulk(v)
+		if e, found := s.lookupLive(k); found {
+			w.WriteBulk(e.Value)
 		} else {
 			w.WriteNull()
 		}
@@ -118,11 +119,7 @@ func (ss *session) dispatchCmd(cmd []byte, args [][]byte) (quit bool) {
 		// pass through.
 		v := resp.Detach(args[2])
 		s.gate.RLock()
-		// TTL cleared BEFORE the store (SET discards any deadline): a
-		// concurrent purge that loads the fresh value then re-checks the
-		// arming finds it gone and aborts — see expiry.go.
-		s.clearTTL(k)
-		s.db.Store(k, v)
+		s.db.Store(k, v, 0) // SET discards any deadline
 		s.appendMutation(args...)
 		s.gate.RUnlock()
 		w.WriteSimple("OK")
@@ -144,15 +141,14 @@ func (ss *session) dispatchCmd(cmd []byte, args [][]byte) (quit bool) {
 		n := int64(0)
 		s.gate.RLock()
 		for _, k := range ks {
-			// Capture the arming BEFORE the delete so the removal is
-			// conditional on it: a SETEX racing in after the delete
-			// installs a fresh arming this DEL must not clobber.
-			e, hadTTL := s.exp.Lookup(k)
-			if s.db.Delete(k) {
-				n++
-			}
-			if hadTTL {
-				s.exp.Remove(k, e)
+			// A key found already due was expired, not deleted: it
+			// counts as a purge, like every other read of it would.
+			if prev, ok := s.db.Delete(k); ok {
+				if s.due(prev) {
+					s.db.NoteExpired()
+				} else {
+					n++
+				}
 			}
 		}
 		if n > 0 {
@@ -173,7 +169,7 @@ func (ss *session) dispatchCmd(cmd []byte, args [][]byte) (quit bool) {
 		}
 		n := int64(0)
 		for _, k := range ks {
-			if s.existsLive(k) {
+			if _, ok := s.lookupLive(k); ok {
 				n++
 			}
 		}
@@ -193,8 +189,8 @@ func (ss *session) dispatchCmd(cmd []byte, args [][]byte) (quit bool) {
 		// intermediate value slice; the stored values are never copied.
 		w.WriteArrayHeader(len(ks))
 		for _, k := range ks {
-			if v, found := s.getLive(k); found {
-				w.WriteBulk(v)
+			if e, found := s.lookupLive(k); found {
+				w.WriteBulk(e.Value)
 			} else {
 				w.WriteNull()
 			}
@@ -224,8 +220,7 @@ func (ss *session) dispatchCmd(cmd []byte, args [][]byte) (quit bool) {
 		s.gate.RLock()
 		for i, k := range ks {
 			args[2+2*i] = resp.Detach(args[2+2*i])
-			s.clearTTL(k)
-			s.db.Store(k, args[2+2*i])
+			s.db.Store(k, args[2+2*i], 0)
 		}
 		s.appendMutation(args...)
 		s.gate.RUnlock()
@@ -235,7 +230,7 @@ func (ss *session) dispatchCmd(cmd []byte, args [][]byte) (quit bool) {
 			ss.wrongArity("DBSIZE")
 			return
 		}
-		w.WriteInt(int64(s.db.Len()))
+		w.WriteInt(int64(s.db.Keys().Len()))
 	case "SCAN":
 		ss.scan(args)
 	case "RENAME":
@@ -314,7 +309,7 @@ func (ss *session) dispatchCmd(cmd []byte, args [][]byte) (quit bool) {
 // scanCursor is one open SCAN: a frozen O(1) snapshot of the map plus
 // the trie key the next page starts from.
 type scanCursor struct {
-	snap *nbtrie.ShardedMapSnapshot[[]byte]
+	snap *sharded.Snapshot[expiry.Entry]
 	next uint64
 }
 
@@ -366,7 +361,7 @@ func (ss *session) scan(args [][]byte) {
 
 	var sc *scanCursor
 	if cursor == 0 {
-		sc = &scanCursor{snap: s.db.Snapshot()}
+		sc = &scanCursor{snap: s.db.Keys().Snapshot()}
 	} else {
 		s.scanMu.Lock()
 		sc = s.scans[cursor]
@@ -383,20 +378,23 @@ func (ss *session) scan(args [][]byte) {
 
 	keys := make([][]byte, 0, count)
 	more := false
-	for k := range sc.snap.Ascend(sc.next) {
+	sc.snap.AscendKV(sc.next, func(k uint64, e expiry.Entry) bool {
 		if len(keys) == count {
 			sc.next = k // the first key of the next page
 			more = true
-			break
+			return false
 		}
 		// Lazy expiry applies to SCAN too: a key whose deadline has
 		// passed since the snapshot froze is skipped (and purged from
-		// the live map, not the frozen cut).
-		if s.expireIfDue(k) {
-			continue
+		// the live map if it still holds this entry; the frozen cut is
+		// untouched).
+		if s.due(e) {
+			s.purge(k, e)
+			return true
 		}
 		keys = append(keys, s.keyer.Decode(k))
-	}
+		return true
+	})
 
 	var id uint64
 	if more {
@@ -444,8 +442,7 @@ func (ss *session) scan(args [][]byte) {
 // overwrite: Replace and MoveKey are insert-if-absent by definition,
 // and silently deleting the destination first would need a second
 // linearization point. A deadline on the source travels with the value
-// (re-armed on the destination after the move, same loose-consistency
-// window as the move itself).
+// inside the moved leaf, so the destination is never visible without it.
 func (ss *session) rename(args [][]byte, strict bool) {
 	s, w := ss.s, ss.w
 	cmdName := "RENAME"
@@ -475,7 +472,7 @@ func (ss *session) rename(args [][]byte, strict bool) {
 		// Degenerate rename-to-self: Replace refuses (old != new is part
 		// of its contract), but "key exists" would be a misleading
 		// error. Match Redis: succeed iff the key exists.
-		if s.existsLive(old) {
+		if _, ok := s.lookupLive(old); ok {
 			w.WriteSimple("OK")
 		} else {
 			w.WriteError("ERR no such key")
@@ -483,51 +480,35 @@ func (ss *session) rename(args [][]byte, strict bool) {
 		return
 	}
 	// An expired-but-unpurged source must rename as absent.
-	if s.expireIfDue(old) {
+	if _, ok := s.lookupLive(old); !ok {
 		w.WriteError("ERR no such key")
 		return
 	}
 	// And an expired-but-unpurged destination must not block the move:
 	// it reads as absent everywhere else, so "destination key exists"
 	// would be a lie. Purge it before attempting the move.
-	s.expireIfDue(new)
-	// The source's arming, captured before the move so it can travel:
-	// conditional removal afterwards, same discipline as DEL.
-	oldArming, hadTTL := s.exp.Lookup(old)
+	s.lookupLive(new)
 
-	var moved bool
-	var err error
 	s.gate.RLock()
-	if strict {
-		moved, err = s.db.ReplaceKey(old, new)
-	} else {
-		moved, err = s.db.MoveKey(old, new)
-	}
+	moved, err := s.db.Move(old, new, strict)
 	if moved {
-		if hadTTL {
-			// Re-arm the destination, then drop the source's arming.
-			// Readers can see the destination without its TTL for the
-			// instant between — the index's documented loose window.
-			s.exp.Set(new, oldArming.DeadlineMS)
-			s.exp.Remove(old, oldArming)
-		}
 		// One AOF record for the move; replay re-expresses it as
-		// load+delete+store (+ deadline move), which is safe
+		// load+delete+store (deadline included), which is safe
 		// single-threaded (recovery).
 		s.appendMutation([]byte("RENAME"), args[1], args[2])
 	}
 	s.gate.RUnlock()
 	if err != nil {
 		switch {
-		case errors.Is(err, nbtrie.ErrCrossShard):
+		case errors.Is(err, sharded.ErrCrossShard):
 			// Strict mode only. -CROSSSHARD mirrors Redis Cluster's
 			// -CROSSSLOT: the operation is well-formed but these two keys
 			// cannot be moved atomically; plain RENAME moves them with
 			// two-phase (non-atomic) semantics instead.
 			w.WriteError(fmt.Sprintf(
 				"CROSSSHARD keys map to different shards (%d-shard map); atomic RENAMESTRICT is per-shard — use RENAME for a two-phase cross-shard move, see DESIGN.md §12: %v",
-				s.db.Shards(), err))
-		case errors.Is(err, nbtrie.ErrMoveBusy):
+				s.db.Keys().Shards(), err))
+		case errors.Is(err, sharded.ErrMoveBusy):
 			w.WriteError("ERR cross-shard move of this key already in flight; retry")
 		default:
 			w.WriteError("ERR " + err.Error())
@@ -541,7 +522,7 @@ func (ss *session) rename(args [][]byte, strict bool) {
 	// Distinguish the two failure modes for the error message only;
 	// the check is best-effort under concurrency, the refusal itself
 	// was decided atomically by Replace/MoveKey.
-	if !s.db.Contains(old) {
+	if !s.db.Keys().Contains(old) {
 		w.WriteError("ERR no such key")
 	} else {
 		w.WriteError("ERR destination key exists (RENAME is insert-if-absent, like the trie's atomic Replace; DEL it first to overwrite)")

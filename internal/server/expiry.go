@@ -1,38 +1,17 @@
 package server
 
-// Key expiry: the server-side half of the expiry subsystem (the index
-// itself is internal/expiry; DESIGN.md §12 has the full protocol).
+// Key expiry: the server-side half of the expiry subsystem (the
+// keyspace itself, value and deadline in one leaf per key, is
+// internal/expiry; DESIGN.md §12 has the full protocol).
 //
 // Every read path is lazy: a key whose deadline has passed reads as
 // absent and is purged on the spot. The background reaper (reaperLoop)
 // is the eager half — it sleeps until the earliest armed deadline and
 // range-scans everything due, so expired keys stop occupying memory even
-// if nothing ever reads them.
-//
-// # Why a purge can never eat a live value
-//
-// The index is loosely consistent with the primary map, so every purge
-// is doubly conditional, and the write paths order their two updates to
-// make the dangerous interleavings impossible (Go atomics are
-// sequentially consistent):
-//
-//   - purge (purgeExpired): load the primary value FIRST, re-verify the
-//     arming is still the expired Entry we saw, then delete the primary
-//     key only if it still holds that exact value (identity, via
-//     DeleteFunc), and finally remove the arming only if it is still
-//     that exact Entry.
-//   - plain SET: clear the arming BEFORE storing the new value. A purge
-//     that loaded the fresh value re-checks the arming afterwards and
-//     finds it gone (or changed) — abort.
-//   - SET with TTL (SETEX/GETEX EX): install the new arming BEFORE
-//     storing the value. A purge racing the store either sees the new
-//     arming (abort) or deletes the OLD value identity — after which
-//     the store simply re-inserts the new value under the new arming.
-//
-// The one residual anomaly: an EXPIRE re-arming a key in the same
-// instant a purge commits can lose the key as if the old deadline fired
-// first — which it did; the re-arm merely lost the race. Documented in
-// DESIGN.md §12 as the price of the lock-free loosely-consistent index.
+// if nothing ever reads them. A purge is one delete conditional on the
+// exact entry — value allocation and arming — that was found due, so it
+// can never eat a value stored or re-armed since: any such write
+// replaced the leaf the purge is aimed at.
 
 import (
 	"math"
@@ -46,81 +25,39 @@ import (
 // nowMS is the server's current time in Unix milliseconds.
 func (s *Server) nowMS() int64 { return s.clock() }
 
-// expireIfDue is the lazy read-path check: true means k's deadline has
-// passed (the caller must treat the key as absent); the expired value is
-// purged best-effort on the way out. For keys with no arming this is one
-// wait-free allocation-free index load — the cost added to GET/EXISTS/
-// MGET — and the clock is only consulted when an arming exists.
-func (s *Server) expireIfDue(k uint64) bool {
-	e, ok := s.exp.Lookup(k)
-	if !ok {
+// due reports whether e's deadline has passed. The clock is consulted
+// only when e is armed, so unarmed keys never pay for it.
+func (s *Server) due(e expiry.Entry) bool {
+	return e.Arming != 0 && e.Due(s.nowMS())
+}
+
+// lookupLive is the lazy read path: k's entry when present and not due.
+// A due entry reads as absent and is purged on the way out. One
+// wait-free allocation-free descent — GET, EXISTS, MGET and TTL pay
+// nothing more for expiry.
+func (s *Server) lookupLive(k uint64) (expiry.Entry, bool) {
+	e, ok := s.db.Lookup(k)
+	if ok && s.due(e) {
+		s.purge(k, e)
+		return e, false
+	}
+	return e, ok
+}
+
+// purge removes k if it still holds exactly the due entry e, counting
+// the expiry. Returns true iff this call deleted k.
+func (s *Server) purge(k uint64, e expiry.Entry) bool {
+	if !s.db.Remove(k, e) {
 		return false
 	}
-	if e.DeadlineMS > s.nowMS() {
-		return false
-	}
-	s.purgeExpired(k, e)
+	s.db.NoteExpired()
 	return true
-}
-
-// purgeExpired removes k if it still holds the value it held while the
-// expired arming e was in force. Returns true iff this call deleted the
-// primary value. See the file comment for the ordering argument.
-func (s *Server) purgeExpired(k uint64, e expiry.Entry) bool {
-	v, ok := s.db.Load(k)
-	if !ok {
-		// Value already gone (concurrent DEL or purge): drop the
-		// orphaned arming if it is still e.
-		s.exp.Remove(k, e)
-		return false
-	}
-	if cur, ok := s.exp.Lookup(k); !ok || cur != e {
-		return false // re-armed or cleared since the caller's check
-	}
-	// Identity-conditional delete: same backing array, same length. A
-	// value freshly stored by a racing SET is a different allocation and
-	// survives. (Zero-length values have no element to take the address
-	// of; for them length equality is the whole check.)
-	deleted := s.db.DeleteFunc(k, func(have []byte) bool {
-		return len(have) == len(v) && (len(v) == 0 || &have[0] == &v[0])
-	})
-	s.exp.Remove(k, e)
-	if deleted {
-		s.exp.NoteExpired()
-	}
-	return deleted
-}
-
-// clearTTL drops k's arming, conditional on the arming observed now —
-// the plain-SET path (which clears before storing; see the file
-// comment). Paths that clear AFTER a delete (DEL, past-deadline
-// EXPIRE/GETEX) must instead capture the arming before the delete and
-// Remove it conditionally, or a SETEX racing into the gap would have
-// its fresh arming clobbered.
-func (s *Server) clearTTL(k uint64) {
-	if e, ok := s.exp.Lookup(k); ok {
-		s.exp.Remove(k, e)
-	}
-}
-
-// existsLive reports whether k is present and unexpired (purging it if
-// due).
-func (s *Server) existsLive(k uint64) bool {
-	return !s.expireIfDue(k) && s.db.Contains(k)
-}
-
-// getLive is Load behind the lazy expiry check.
-func (s *Server) getLive(k uint64) ([]byte, bool) {
-	if s.expireIfDue(k) {
-		return nil, false
-	}
-	return s.db.Load(k)
 }
 
 // reapOnce runs one reaper pass over everything due by now.
 func (s *Server) reapOnce() int {
 	start := time.Now()
-	n := s.exp.Reap(s.nowMS(), s.purgeExpired)
+	n := s.db.Reap(s.nowMS(), s.purge)
 	s.met.reapPass.Record(uint64(time.Since(start).Microseconds()))
 	return n
 }
@@ -142,24 +79,24 @@ func (s *Server) reaperLoop() {
 	// (recovery replays absolute deadlines; some are already past).
 	s.reapOnce()
 	for {
-		s.exp.Arm(math.MaxInt64)
-		deadline, ok := s.exp.Earliest()
+		s.db.Arm(math.MaxInt64)
+		deadline, ok := s.db.Earliest()
 		if !ok {
 			select {
 			case <-s.reapStop:
 				return
-			case <-s.exp.Wake():
+			case <-s.db.Wake():
 				continue
 			}
 		}
-		s.exp.Arm(deadline)
+		s.db.Arm(deadline)
 		if wait := deadline - s.nowMS(); wait > 0 {
 			t := time.NewTimer(time.Duration(wait) * time.Millisecond)
 			select {
 			case <-s.reapStop:
 				t.Stop()
 				return
-			case <-s.exp.Wake():
+			case <-s.db.Wake():
 				t.Stop()
 				continue // an earlier deadline arrived; re-plan
 			case <-t.C:
@@ -190,29 +127,57 @@ func (ss *session) parseIntArg(b []byte) (int64, bool) {
 // deadlineFromArg turns a parsed quantity into an absolute deadline in
 // Unix milliseconds, saturating instead of overflowing: n units of
 // unitMS each, absolute (EXPIREAT/PEXPIREAT) or relative to now
-// (EXPIRE/PEXPIRE).
+// (EXPIRE/PEXPIRE). It never returns less than 1, so a deadline is
+// never mistaken for applyDeadline's 0 = PERSIST.
 func deadlineFromArg(now, n, unitMS int64, absolute bool) int64 {
 	lim := expiry.MaxDeadlineMS / unitMS
-	var ms int64
+	ms := min(max(n, -lim), lim) * unitMS
+	if !absolute {
+		ms += now
+	}
+	return max(ms, 1)
+}
+
+// applyDeadline is the write half of EXPIRE, PERSIST and GETEX, and
+// logs what it did: deadline 0 drops k's TTL (logged as PERSIST when
+// there was one), a deadline already past deletes k (logged as DEL —
+// Redis semantics), any other re-arms k (logged as the absolute
+// PEXPIREAT, so replay is immune to replay-time clocks). Each is one
+// update of k's leaf and applies only while k is live, so it cannot
+// resurrect a key that a purge is removing. It returns k's entry before
+// the call and whether k was live; a k found due is purged.
+func (s *Server) applyDeadline(key []byte, k uint64, deadline, now int64) (prev expiry.Entry, live bool) {
+	s.gate.RLock()
+	defer s.gate.RUnlock()
+	if deadline != 0 && deadline <= now {
+		prev, deleted := s.db.Delete(k)
+		if deleted {
+			s.db.NoteExpired()
+		}
+		live = deleted && !prev.Due(now)
+		if live {
+			s.appendMutation([]byte("DEL"), key)
+		}
+		return prev, live
+	}
+	prev, live = s.db.Expire(k, deadline, now)
 	switch {
-	case n > lim:
-		ms = expiry.MaxDeadlineMS
-	case n < -lim:
-		ms = -expiry.MaxDeadlineMS
-	default:
-		ms = n * unitMS
+	case !live:
+		if prev.Due(now) {
+			s.purge(k, prev)
+		}
+	case deadline != 0:
+		s.appendMutation([]byte("PEXPIREAT"), key, strconv.AppendInt(nil, deadline, 10))
+	case prev.Arming != 0:
+		s.appendMutation([]byte("PERSIST"), key)
 	}
-	if absolute {
-		return ms
-	}
-	return now + ms
+	return prev, live
 }
 
 // expireCmd implements EXPIRE/PEXPIRE/EXPIREAT/PEXPIREAT: arm (or
 // re-arm) a key's deadline. Replies :1 when a deadline was set (or the
 // key deleted outright for an already-past deadline, Redis semantics),
-// :0 when the key does not exist. The AOF record is always the absolute
-// form — PEXPIREAT key <ms> — so replay is immune to replay-time clocks.
+// :0 when the key does not exist.
 func (ss *session) expireCmd(args [][]byte, unitMS int64, absolute bool) {
 	s, w := ss.s, ss.w
 	if len(args) != 3 {
@@ -232,44 +197,22 @@ func (ss *session) expireCmd(args [][]byte, unitMS int64, absolute bool) {
 		return
 	}
 	now := s.nowMS()
-	deadline := deadlineFromArg(now, n, unitMS, absolute)
-	if !s.existsLive(k) {
-		w.WriteInt(0)
-		return
+	_, live := s.applyDeadline(args[1], k, deadlineFromArg(now, n, unitMS, absolute), now)
+	w.WriteInt(boolInt(live))
+}
+
+// boolInt is the :1/:0 reply of a yes/no command.
+func boolInt(b bool) int64 {
+	if b {
+		return 1
 	}
-	if deadline <= now {
-		// Already past: Redis deletes the key immediately and logs the
-		// deletion, not the no-op timeout. Capture the arming BEFORE the
-		// delete so the removal is conditional on it — a SETEX racing in
-		// after the delete installs a fresh arming this deletion must not
-		// clobber (same discipline as DEL).
-		s.gate.RLock()
-		e, hadTTL := s.exp.Lookup(k)
-		deleted := s.db.Delete(k)
-		if hadTTL {
-			s.exp.Remove(k, e)
-		}
-		if deleted {
-			s.appendMutation([]byte("DEL"), args[1])
-		}
-		s.gate.RUnlock()
-		if deleted {
-			s.exp.NoteExpired()
-		}
-		w.WriteInt(1)
-		return
-	}
-	s.gate.RLock()
-	s.exp.Set(k, deadline)
-	s.appendMutation([]byte("PEXPIREAT"), args[1], strconv.AppendInt(nil, deadline, 10))
-	s.gate.RUnlock()
-	w.WriteInt(1)
+	return 0
 }
 
 // ttlCmd implements TTL (seconds, rounded to nearest — Redis semantics,
 // so 100ms remaining reports 0, not 1) and PTTL (milliseconds): -2 when
 // the key does not exist (or has expired), -1 when it has no deadline,
-// else the remaining time.
+// else the remaining time. Value and deadline come from one leaf read.
 func (ss *session) ttlCmd(args [][]byte, inMS bool) {
 	s, w := ss.s, ss.w
 	if len(args) != 2 {
@@ -280,19 +223,16 @@ func (ss *session) ttlCmd(args [][]byte, inMS bool) {
 	if !ok {
 		return
 	}
-	if !s.existsLive(k) {
+	e, ok := s.lookupLive(k)
+	switch {
+	case !ok:
 		w.WriteInt(-2)
 		return
-	}
-	e, ok := s.exp.Lookup(k)
-	if !ok {
+	case e.Arming == 0:
 		w.WriteInt(-1)
 		return
 	}
-	rem := e.DeadlineMS - s.nowMS()
-	if rem < 0 {
-		rem = 0
-	}
+	rem := max(e.DeadlineMS()-s.nowMS(), 0)
 	if inMS {
 		w.WriteInt(rem)
 	} else {
@@ -316,27 +256,13 @@ func (ss *session) persistCmd(args [][]byte) {
 	if !ok {
 		return
 	}
-	if !s.existsLive(k) {
-		w.WriteInt(0)
-		return
-	}
-	s.gate.RLock()
-	cleared := s.exp.Clear(k)
-	if cleared {
-		s.appendMutation([]byte("PERSIST"), args[1])
-	}
-	s.gate.RUnlock()
-	if cleared {
-		w.WriteInt(1)
-	} else {
-		w.WriteInt(0)
-	}
+	prev, live := s.applyDeadline(args[1], k, 0, s.nowMS())
+	w.WriteInt(boolInt(live && prev.Arming != 0))
 }
 
-// setex implements SETEX key seconds value: SET + EXPIRE as one command.
-// The arming is installed BEFORE the value is stored (see the file
-// comment), and the AOF carries the pair SET + PEXPIREAT — the same
-// absolute translation Redis uses.
+// setex implements SETEX key seconds value: SET + EXPIRE as one Swap of
+// the key's leaf, logged as the pair SET + PEXPIREAT — the same absolute
+// translation Redis uses.
 func (ss *session) setex(args [][]byte) {
 	s, w := ss.s, ss.w
 	if len(args) != 4 {
@@ -362,8 +288,7 @@ func (ss *session) setex(args [][]byte) {
 	deadline := deadlineFromArg(s.nowMS(), sec, 1000, false)
 	v := resp.Detach(args[3])
 	s.gate.RLock()
-	s.exp.Set(k, deadline)
-	s.db.Store(k, v)
+	s.db.Store(k, v, deadline)
 	s.appendMutation([]byte("SET"), args[1], v)
 	s.appendMutation([]byte("PEXPIREAT"), args[1], strconv.AppendInt(nil, deadline, 10))
 	s.gate.RUnlock()
@@ -371,7 +296,8 @@ func (ss *session) setex(args [][]byte) {
 }
 
 // getex implements GETEX key [EX s | PX ms | EXAT s | PXAT ms |
-// PERSIST]: GET that can atomically re-arm or disarm the deadline.
+// PERSIST]: GET that atomically re-arms or disarms the deadline — the
+// value replied is the one the same leaf update saw.
 func (ss *session) getex(args [][]byte) {
 	s, w := ss.s, ss.w
 	if len(args) < 2 || len(args) > 4 {
@@ -384,22 +310,24 @@ func (ss *session) getex(args [][]byte) {
 	}
 	// Parse the option before touching anything so a syntax error
 	// mutates nothing.
-	var (
-		doPersist bool
-		doExpire  bool
-		unitMS    int64
-		absolute  bool
-		n         int64
-	)
+	now := s.nowMS()
+	var deadline int64 // 0: PERSIST
 	switch len(args) {
 	case 2:
+		if e, found := s.lookupLive(k); found {
+			w.WriteBulk(e.Value)
+		} else {
+			w.WriteNull()
+		}
+		return
 	case 3:
 		if string(ss.upper(args[2])) != "PERSIST" {
 			w.WriteError("ERR syntax error")
 			return
 		}
-		doPersist = true
 	case 4:
+		var unitMS int64
+		var absolute bool
 		switch string(ss.upper(args[2])) {
 		case "EX":
 			unitMS, absolute = 1000, false
@@ -413,51 +341,19 @@ func (ss *session) getex(args [][]byte) {
 			w.WriteError("ERR syntax error")
 			return
 		}
-		var okN bool
-		if n, okN = ss.parseIntArg(args[3]); !okN {
+		n, ok := ss.parseIntArg(args[3])
+		if !ok {
 			return
 		}
-		doExpire = true
+		deadline = deadlineFromArg(now, n, unitMS, absolute)
 	}
-	if (doPersist || doExpire) && s.persistDegraded() {
+	if s.persistDegraded() {
 		s.misconf(w)
 		return
 	}
-	v, found := s.getLive(k)
-	if !found {
+	if prev, live := s.applyDeadline(args[1], k, deadline, now); live {
+		w.WriteBulk(prev.Value)
+	} else {
 		w.WriteNull()
-		return
 	}
-	now := s.nowMS()
-	switch {
-	case doPersist:
-		s.gate.RLock()
-		if s.exp.Clear(k) {
-			s.appendMutation([]byte("PERSIST"), args[1])
-		}
-		s.gate.RUnlock()
-	case doExpire:
-		deadline := deadlineFromArg(now, n, unitMS, absolute)
-		if deadline <= now {
-			// Arming captured BEFORE the delete, removal conditional on
-			// it — same race and same discipline as the EXPIRE past-
-			// deadline path above.
-			s.gate.RLock()
-			e, hadTTL := s.exp.Lookup(k)
-			if s.db.Delete(k) {
-				s.appendMutation([]byte("DEL"), args[1])
-				s.exp.NoteExpired()
-			}
-			if hadTTL {
-				s.exp.Remove(k, e)
-			}
-			s.gate.RUnlock()
-		} else {
-			s.gate.RLock()
-			s.exp.Set(k, deadline)
-			s.appendMutation([]byte("PEXPIREAT"), args[1], strconv.AppendInt(nil, deadline, 10))
-			s.gate.RUnlock()
-		}
-	}
-	w.WriteBulk(v)
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,6 +25,7 @@ func newFakeClock() *fakeClock {
 }
 func (c *fakeClock) now() int64       { return c.ms.Load() }
 func (c *fakeClock) advance(ms int64) { c.ms.Add(ms) }
+func (c *fakeClock) set(ms int64)     { c.ms.Store(ms) }
 func (c *fakeClock) cfg(base Config) Config {
 	base.Clock = c.now
 	return base
@@ -368,6 +370,195 @@ func TestServerInfoExpirySection(t *testing.T) {
 }
 
 func itoa(n int64) string { return strconv.FormatInt(n, 10) }
+
+// inprocClient drives one session's real dispatch path without a socket
+// and parses each reply back — fast enough for race hammers to hit
+// windows a loopback round trip would step over.
+type inprocClient struct {
+	t   *testing.T
+	ss  *session
+	out bytes.Buffer
+}
+
+func newInprocClient(t *testing.T, s *Server) *inprocClient {
+	c := &inprocClient{t: t}
+	c.ss = newSession(s, resp.NewWriter(bufio.NewWriter(&c.out)))
+	return c
+}
+
+func (c *inprocClient) do(args ...string) resp.Value {
+	argv := make([][]byte, len(args))
+	for i, a := range args {
+		argv[i] = []byte(a)
+	}
+	c.ss.dispatch(argv)
+	if err := c.ss.w.Flush(); err != nil {
+		c.t.Error(err)
+	}
+	v, err := resp.ReadReply(bufio.NewReader(&c.out), resp.Limits{})
+	if err != nil {
+		c.t.Errorf("%v: unreadable reply: %v", args, err)
+	}
+	c.out.Reset()
+	return v
+}
+
+// infoInt reads one integer field of INFO.
+func infoInt(t *testing.T, c *inprocClient, field string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(string(c.do("INFO").Str), "\r\n") {
+		if v, ok := strings.CutPrefix(line, field+":"); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("INFO %s = %q", field, v)
+			}
+			return n
+		}
+	}
+	t.Fatalf("INFO lacks %s", field)
+	return 0
+}
+
+// TestServerExpireRacesPurge re-arms keys to a far deadline just as
+// their old deadline passes, while lazy reads and forced reaper passes
+// purge whatever falls due. The fake clock steps one millisecond at a
+// time; each step makes one group of keys due, and the EXPIRE clients
+// aim at the group due next. Every :1 reply must leave its key alive
+// with the far TTL; a key that never got one must be gone; and
+// keys_with_ttl must count exactly the live armed keys — no arming may
+// outlive its value.
+func TestServerExpireRacesPurge(t *testing.T) {
+	const steps, perStep = 400, 8
+	clk := newFakeClock()
+	s, err := New(clk.cfg(Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	t0 := clk.now()
+	far := itoa(t0 + 1_000_000)
+	key := func(i int) string { return "k" + strconv.Itoa(i) }
+	setup := newInprocClient(t, s)
+	for i := 0; i < steps*perStep; i++ {
+		setup.do("SET", key(i), "v")
+		setup.do("PEXPIREAT", key(i), itoa(t0+1+int64(i/perStep)))
+	}
+
+	var won [steps * perStep]atomic.Bool
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	group := func(lag int64) (int, int) {
+		g := int(clk.now()-t0+lag) * perStep
+		return max(g, 0), min(g+perStep, steps*perStep)
+	}
+	for range 2 { // re-armers, aimed at the group due at the next step
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := newInprocClient(t, s)
+			for !stop.Load() {
+				lo, hi := group(0)
+				for i := lo; i < hi; i++ {
+					if c.do("PEXPIREAT", key(i), far).Int == 1 {
+						won[i].Store(true)
+					}
+				}
+			}
+		}()
+	}
+	wg.Add(2)
+	go func() { // lazy purges of the group that just fell due
+		defer wg.Done()
+		c := newInprocClient(t, s)
+		for !stop.Load() {
+			lo, hi := group(-1)
+			for i := lo; i < hi; i++ {
+				c.do("GET", key(i))
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			s.ReapNow()
+		}
+	}()
+	for step := int64(1); step <= steps+1; step++ {
+		time.Sleep(200 * time.Microsecond)
+		clk.set(t0 + step)
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	c := newInprocClient(t, s)
+	armed := int64(0)
+	for i := 0; i < steps*perStep; i++ {
+		want := int64(-2)
+		if won[i].Load() {
+			want = t0 + 1_000_000 - clk.now()
+			armed++
+		}
+		if got := c.do("PTTL", key(i)); got.Int != want {
+			t.Fatalf("%s: PTTL = %s (an EXPIRE replied :1: %v); want %d", key(i), got, won[i].Load(), want)
+		}
+	}
+	if armed == 0 || armed == steps*perStep {
+		t.Logf("vacuous round: %d of %d keys re-armed", armed, steps*perStep)
+	}
+	if got := infoInt(t, c, "keys_with_ttl"); got != armed {
+		t.Fatalf("keys_with_ttl = %d, live armed keys %d: an arming outlived its value", got, armed)
+	}
+}
+
+// TestServerRenameKeepsTTL renames an armed key within one shard over
+// and over while readers poll the destination's PTTL: the deadline moves
+// inside the renamed leaf, so a present destination never reads -1.
+func TestServerRenameKeepsTTL(t *testing.T) {
+	clk := newFakeClock()
+	s, err := New(clk.cfg(Config{Keyer: DecimalKeyer{KeyWidth: 16}, Shards: 8}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if !s.DB().SameShard(100, 200) {
+		t.Fatal("test premise broken: keys in different shards")
+	}
+	var stop atomic.Bool
+	var noTTL, present atomic.Int64
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := newInprocClient(t, s)
+			for !stop.Load() {
+				switch v := c.do("PTTL", "200"); {
+				case v.Int == -1:
+					noTTL.Add(1)
+				case v.Int > 0:
+					present.Add(1)
+				}
+			}
+		}()
+	}
+	c := newInprocClient(t, s)
+	for range 3000 {
+		c.do("SETEX", "100", "1000", "v")
+		if v := c.do("RENAME", "100", "200"); string(v.Str) != "OK" {
+			t.Errorf("RENAME = %s", v)
+			break
+		}
+		c.do("DEL", "200")
+	}
+	stop.Store(true)
+	wg.Wait()
+	if n := noTTL.Load(); n > 0 {
+		t.Fatalf("PTTL of the renamed key read -1 %d times (%d reads saw it armed)", n, present.Load())
+	}
+	if present.Load() == 0 {
+		t.Log("vacuous run: no read landed while the destination existed")
+	}
+}
 
 // FuzzTTLArgs throws arbitrary argument vectors at every TTL-touching
 // command through the real dispatch path (parse → dispatch → reply

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,10 +16,15 @@ import (
 )
 
 // Wire-level linearizability oracle: several non-pipelined clients drive
-// GET / SET / DEL / same-shard RENAME at a small key set through real
-// connections, every command is recorded as a checker op between the
+// GET / SET / SETEX / DEL / PERSIST / same-shard RENAME at a small key
+// set through real connections, every command is recorded as a checker
+// op between the
 // send and the reply, and each round's history must be linearizable
-// against the sequential map specification. RENAME is the trie's
+// against the sequential map specification. SETEX arms a deadline far
+// beyond the test, so it is checked as a Store; PERSIST changes no value,
+// so a :1 reply (the key was there, armed) is checked as a Contains and
+// a :0 — absent, or present without a TTL — constrains nothing and is
+// dropped from the history before the check. RENAME is the trie's
 // atomic Replace here: all keys sit in one shard (decimal keys < 8192
 // under a 16-bit keyer with 8 shards, as in TestServerRename), so the
 // two-phase cross-shard move (DESIGN.md §12) stays out of scope.
@@ -36,7 +42,7 @@ func linOp(c *testClient, rng *rand.Rand, keys []uint64, vals *atomic.Uint64) (l
 	k := keys[rng.Intn(len(keys))]
 	key := strconv.FormatUint(k, 10)
 	switch p := rng.Intn(100); {
-	case p < 35:
+	case p < 30:
 		v, err := c.try("GET", key)
 		if err != nil {
 			return linearizable.Op{}, err
@@ -54,17 +60,21 @@ func linOp(c *testClient, rng *rand.Rand, keys []uint64, vals *atomic.Uint64) (l
 			return op, fmt.Errorf("GET %s = %s", key, v)
 		}
 		return op, nil
-	case p < 65:
+	case p < 60:
 		n := vals.Add(1)
-		v, err := c.try("SET", key, strconv.FormatUint(n, 10))
+		cmd := []string{"SET", key, strconv.FormatUint(n, 10)}
+		if p >= 45 {
+			cmd = []string{"SETEX", key, "100000", cmd[2]}
+		}
+		v, err := c.try(cmd...)
 		if err != nil {
 			return linearizable.Op{}, err
 		}
 		if v.Kind != resp.TypeSimple || string(v.Str) != "OK" {
-			return linearizable.Op{}, fmt.Errorf("SET %s = %s", key, v)
+			return linearizable.Op{}, fmt.Errorf("%v = %s", cmd, v)
 		}
 		return linearizable.Op{Kind: linearizable.Store, Key: k, Val: n, Result: true}, nil
-	case p < 80:
+	case p < 75:
 		v, err := c.try("DEL", key)
 		if err != nil {
 			return linearizable.Op{}, err
@@ -73,6 +83,18 @@ func linOp(c *testClient, rng *rand.Rand, keys []uint64, vals *atomic.Uint64) (l
 			return linearizable.Op{}, fmt.Errorf("DEL %s = %s", key, v)
 		}
 		return linearizable.Op{Kind: linearizable.Delete, Key: k, Result: v.Int == 1}, nil
+	case p < 82:
+		v, err := c.try("PERSIST", key)
+		if err != nil {
+			return linearizable.Op{}, err
+		}
+		if v.Kind != resp.TypeInt || v.Int < 0 || v.Int > 1 {
+			return linearizable.Op{}, fmt.Errorf("PERSIST %s = %s", key, v)
+		}
+		if v.Int == 0 {
+			return linearizable.Op{}, nil // Kind 0: dropped before the check
+		}
+		return linearizable.Op{Kind: linearizable.Contains, Key: k, Result: true}, nil
 	default:
 		k2 := keys[rng.Intn(len(keys))]
 		for k2 == k {
@@ -147,7 +169,8 @@ func runLinRounds(t *testing.T, addr string, rounds int, bgsave bool) []uint64 {
 		for err := range errs {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if h := rec.History(); !linearizable.Check(h) {
+		h := slices.DeleteFunc(rec.History(), func(op linearizable.Op) bool { return op.Kind == 0 })
+		if !linearizable.Check(h) {
 			t.Fatalf("round %d: history not linearizable:\n%v", round, h)
 		}
 	}

@@ -216,11 +216,11 @@ func (s *Server) WriteMetrics(w io.Writer) {
 
 	fmt.Fprintf(&b, "# HELP nbtried_keys Live keys in the map.\n"+
 		"# TYPE nbtried_keys gauge\n"+
-		"nbtried_keys %d\n", s.db.Len())
-	expired, passes := s.exp.Stats()
+		"nbtried_keys %d\n", s.db.Keys().Len())
+	expired, passes := s.db.Stats()
 	fmt.Fprintf(&b, "# HELP nbtried_keys_with_ttl Keys with an armed deadline.\n"+
 		"# TYPE nbtried_keys_with_ttl gauge\n"+
-		"nbtried_keys_with_ttl %d\n", s.exp.Len())
+		"nbtried_keys_with_ttl %d\n", s.db.Len())
 	fmt.Fprintf(&b, "# HELP nbtried_expired_keys_total Keys expired (lazy + reaper).\n"+
 		"# TYPE nbtried_expired_keys_total counter\n"+
 		"nbtried_expired_keys_total %d\n", expired)
@@ -246,27 +246,26 @@ func (s *Server) WriteMetrics(w io.Writer) {
 		writeHistProm(&b, "nbtried_aof_commit_duration_seconds", "", snap)
 	}
 
-	es := s.db.EngineStats()
+	es := s.db.Keys().EngineStats()
 	b.WriteString("# HELP nbtried_engine_help_total help() executions (initiators + helpers).\n" +
 		"# TYPE nbtried_engine_help_total counter\n")
 	fmt.Fprintf(&b, "nbtried_engine_help_total %d\n", es.Help)
 	b.WriteString("# HELP nbtried_engine_help_assists_total Operations that completed another operation's work.\n" +
 		"# TYPE nbtried_engine_help_assists_total counter\n")
-	fmt.Fprintf(&b, "nbtried_engine_help_assists_total %d\n", es.HelpAssists)
+	fmt.Fprintf(&b, "nbtried_engine_help_assists_total %d\n", es.HelpAssist)
 	b.WriteString("# HELP nbtried_engine_child_cas_failures_total Child CASes lost to a racing helper.\n" +
 		"# TYPE nbtried_engine_child_cas_failures_total counter\n")
-	fmt.Fprintf(&b, "nbtried_engine_child_cas_failures_total %d\n", es.ChildCASFailures)
+	fmt.Fprintf(&b, "nbtried_engine_child_cas_failures_total %d\n", es.ChildCASFail)
 	b.WriteString("# HELP nbtried_engine_flag_backtracks_total help() executions that failed flagging and unwound.\n" +
 		"# TYPE nbtried_engine_flag_backtracks_total counter\n")
-	fmt.Fprintf(&b, "nbtried_engine_flag_backtracks_total %d\n", es.FlagBacktracks)
+	fmt.Fprintf(&b, "nbtried_engine_flag_backtracks_total %d\n", es.FlagBacktrack)
 	b.WriteString("# HELP nbtried_engine_op_retries_total Mutator retry-loop iterations past the first.\n" +
 		"# TYPE nbtried_engine_op_retries_total counter\n")
 	fmt.Fprintf(&b, "nbtried_engine_op_retries_total %d\n", es.OpRetries)
 	b.WriteString("# HELP nbtried_engine_snapshot_renewals_total Stale-generation nodes renewed after a snapshot.\n" +
 		"# TYPE nbtried_engine_snapshot_renewals_total counter\n")
 	fmt.Fprintf(&b, "nbtried_engine_snapshot_renewals_total %d\n", es.SnapshotRenewals)
-	if es.DepthSamples > 0 {
-		depth := obs.HistSnapshot{Buckets: es.DepthBuckets, Count: es.DepthSamples, Sum: es.DepthSum}
+	if depth := es.Depth; depth.Count > 0 {
 		b.WriteString("# HELP nbtried_engine_depth Trie descent depth per mutation (levels, not seconds).\n" +
 			"# TYPE nbtried_engine_depth histogram\n")
 		writeHistRaw(&b, "nbtried_engine_depth", "", depth)
@@ -374,15 +373,15 @@ func (s *Server) latencystatsText(b *strings.Builder) {
 // contention counters plus a per-shard help breakdown (shards with zero
 // help traffic are omitted).
 func (s *Server) engineText(b *strings.Builder) {
-	es := s.db.EngineStats()
+	es := s.db.Keys().EngineStats()
 	fmt.Fprintf(b, "engine_help_total:%d\r\n", es.Help)
-	fmt.Fprintf(b, "engine_help_assists_total:%d\r\n", es.HelpAssists)
-	fmt.Fprintf(b, "engine_child_cas_failures_total:%d\r\n", es.ChildCASFailures)
-	fmt.Fprintf(b, "engine_flag_backtracks_total:%d\r\n", es.FlagBacktracks)
+	fmt.Fprintf(b, "engine_help_assists_total:%d\r\n", es.HelpAssist)
+	fmt.Fprintf(b, "engine_child_cas_failures_total:%d\r\n", es.ChildCASFail)
+	fmt.Fprintf(b, "engine_flag_backtracks_total:%d\r\n", es.FlagBacktrack)
 	fmt.Fprintf(b, "engine_op_retries_total:%d\r\n", es.OpRetries)
 	fmt.Fprintf(b, "engine_snapshot_renewals_total:%d\r\n", es.SnapshotRenewals)
-	depth := obs.HistSnapshot{Buckets: es.DepthBuckets, Count: es.DepthSamples, Sum: es.DepthSum}
-	fmt.Fprintf(b, "engine_depth_samples:%d\r\n", es.DepthSamples)
+	depth := es.Depth
+	fmt.Fprintf(b, "engine_depth_samples:%d\r\n", depth.Count)
 	fmt.Fprintf(b, "engine_depth_p50:%d\r\n", depth.Quantile(0.50))
 	fmt.Fprintf(b, "engine_depth_p99:%d\r\n", depth.Quantile(0.99))
 	type shardHelp struct {
@@ -390,8 +389,8 @@ func (s *Server) engineText(b *strings.Builder) {
 		help  int64
 	}
 	var hot []shardHelp
-	for i := 0; i < s.db.Shards(); i++ {
-		if ss := s.db.ShardEngineStats(i); ss.Help > 0 {
+	for i := 0; i < s.db.Keys().Shards(); i++ {
+		if ss := s.db.Keys().ShardEngineStats(i); ss.Help > 0 {
 			hot = append(hot, shardHelp{i, ss.Help})
 		}
 	}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"iter"
 	"os"
 	"path/filepath"
 	"sync"
@@ -12,6 +11,7 @@ import (
 	"nbtrie/internal/expiry"
 	"nbtrie/internal/persist"
 	"nbtrie/internal/resp"
+	"nbtrie/internal/sharded"
 )
 
 // Durability orchestration: how the server composes internal/persist's
@@ -159,19 +159,14 @@ func (p *persister) recover(m persist.Manifest) error {
 			p.seq = n
 		}
 		err := persist.LoadDump(p.dir, m.Base, func(k, v []byte, expireAtMS uint64) error {
-			if err := p.s.applyRecord([][]byte{[]byte("SET"), k, v}); err != nil {
+			ek, err := p.s.keyer.Encode(k)
+			if err != nil {
 				return err
 			}
-			if expireAtMS != 0 {
-				// Re-arm the dumped deadline, even one already past: the
-				// reaper's opening pass (and any lazy read) purges it, the
-				// same convergence path as replayed PEXPIREAT records.
-				ek, err := p.s.keyer.Encode(k)
-				if err != nil {
-					return err
-				}
-				p.s.exp.Set(ek, int64(expireAtMS))
-			}
+			// A dumped deadline is re-armed even when already past: the
+			// reaper's opening pass (and any lazy read) purges it, the
+			// same convergence path as replayed PEXPIREAT records.
+			p.s.db.Store(ek, v, int64(expireAtMS))
 			return nil
 		})
 		if err != nil {
@@ -216,15 +211,15 @@ func (p *persister) removeUnreferenced() {
 	}
 }
 
-// applyRecord replays one AOF/dump record against the map (and the
-// expiry index: every record that changes a key's TTL state at serve
-// time changes it identically at replay time). It is the replay-side
-// mirror of the dispatch mutations, minus replies and re-appending; it
-// runs single-threaded (recovery) so the multi-step RENAME needs no
-// atomicity. Reaper purges are deliberately NOT recorded: recovery
-// re-evaluates the replayed absolute deadlines against the clock, so an
-// expiry that happened while up happens again (lazily or on the
-// reaper's opening pass) after a restart.
+// applyRecord replays one AOF record against the keyspace (every record
+// that changes a key's TTL state at serve time changes it identically at
+// replay time). It is the replay-side mirror of the dispatch mutations,
+// minus replies and re-appending; it runs single-threaded (recovery) so
+// the multi-step RENAME needs no atomicity. Reaper purges are
+// deliberately NOT recorded: recovery re-evaluates the replayed absolute
+// deadlines against the clock, so an expiry that happened while up
+// happens again (lazily or on the reaper's opening pass) after a
+// restart.
 func (s *Server) applyRecord(args [][]byte) error {
 	if len(args) == 0 {
 		return fmt.Errorf("empty record")
@@ -238,8 +233,7 @@ func (s *Server) applyRecord(args [][]byte) error {
 		if err != nil {
 			return err
 		}
-		s.db.Store(k, args[2])
-		s.exp.Clear(k) // plain SET discards any earlier arming
+		s.db.Store(k, args[2], 0) // plain SET discards any earlier arming
 	case "DEL":
 		if len(args) < 2 {
 			return fmt.Errorf("DEL record with %d args", len(args))
@@ -250,7 +244,6 @@ func (s *Server) applyRecord(args [][]byte) error {
 				return err
 			}
 			s.db.Delete(k)
-			s.exp.Clear(k)
 		}
 	case "MSET":
 		if len(args) < 3 || len(args)%2 != 1 {
@@ -261,8 +254,7 @@ func (s *Server) applyRecord(args [][]byte) error {
 			if err != nil {
 				return err
 			}
-			s.db.Store(k, args[i+1])
-			s.exp.Clear(k)
+			s.db.Store(k, args[i+1], 0)
 		}
 	case "RENAME":
 		if len(args) != 3 {
@@ -279,23 +271,15 @@ func (s *Server) applyRecord(args [][]byte) error {
 		if old == new {
 			return nil
 		}
-		if v, ok := s.db.Load(old); ok {
-			s.db.Delete(old)
-			s.db.Store(new, v)
-			// At serve time a rename's destination holds no arming when
-			// the move lands (it was absent, or expired and lazily
-			// purged — arming included). Replay must match: an earlier
-			// PEXPIREAT record may have re-armed the destination's old
-			// (possibly past) deadline, which must not survive onto the
-			// moved value, or the opening reaper pass eats it.
-			s.exp.Clear(new)
+		if e, ok := s.db.Delete(old); ok {
 			// The deadline travels with the value, exactly as it did at
 			// serve time (both the atomic and the two-phase rename log
-			// this one record).
-			if e, had := s.exp.Lookup(old); had {
-				s.exp.Set(new, e.DeadlineMS)
-				s.exp.Remove(old, e)
-			}
+			// this one record). The Store overwrites the destination
+			// outright: at serve time it was absent, or expired and
+			// lazily purged, and a purge is never logged — so an earlier
+			// record may have left it here with a past deadline, which
+			// must not survive onto the moved value.
+			s.db.Store(new, e.Value, e.DeadlineMS())
 		}
 	case "PEXPIREAT":
 		// Absolute-deadline arming: every wire-level EXPIRE variant is
@@ -315,9 +299,9 @@ func (s *Server) applyRecord(args [][]byte) error {
 		if !ok {
 			return fmt.Errorf("PEXPIREAT record with bad deadline %q", args[2])
 		}
-		if s.db.Contains(k) {
-			s.exp.Set(k, ms)
-		}
+		// The floor keeps a non-positive deadline armed (already
+		// past) rather than reading as Set's "no TTL".
+		s.db.Set(k, max(ms, 1))
 	case "PERSIST":
 		if len(args) != 2 {
 			return fmt.Errorf("PERSIST record with %d args", len(args))
@@ -326,7 +310,7 @@ func (s *Server) applyRecord(args [][]byte) error {
 		if err != nil {
 			return err
 		}
-		s.exp.Clear(k)
+		s.db.Set(k, 0)
 	default:
 		return fmt.Errorf("unknown record command %q", args[0])
 	}
@@ -444,12 +428,9 @@ func (p *persister) save(background bool) error {
 		p.manifest = next
 	}
 	p.seq = dumpSeq
-	// Both snapshots under the same gate.Lock instant: the dump's
-	// (value, deadline) pairs are one consistent cut — no TTL for a key
-	// the value cut doesn't have, no value whose arming the TTL cut
-	// missed.
-	snap := p.s.db.Snapshot() // globally exact: writers are quiesced by the gate
-	expSnap := p.s.exp.Snapshot()
+	// Each key's value and deadline share a leaf, so the cut carries
+	// both; it is globally exact because writers are quiesced by the gate.
+	snap := p.s.db.Keys().Snapshot()
 	oldSeg := p.aof
 	if p.aofOn {
 		p.aof = newSeg
@@ -469,7 +450,7 @@ func (p *persister) save(background bool) error {
 
 	doDump := func() error {
 		defer p.bgActive.Store(false)
-		err := p.writeDumpAndCommit(snap, expSnap, dumpSeq)
+		err := p.writeDumpAndCommit(snap, dumpSeq)
 		if err != nil {
 			p.saveStatus.Store(err.Error())
 			return err
@@ -498,16 +479,14 @@ func (p *persister) save(background bool) error {
 
 // writeDumpAndCommit streams the snapshot into base-<seq>, swings the
 // manifest to it and removes the files the new recipe dropped. Each
-// record carries the key's deadline from the expiry cut (0 = no TTL),
-// so a dump restores TTL state without any AOF record.
-func (p *persister) writeDumpAndCommit(snap snapshotIter, expSnap *expiry.Snapshot, seq uint64) error {
+// record carries the key's deadline from its leaf (0 = no TTL), so a
+// dump restores TTL state without any AOF record.
+func (p *persister) writeDumpAndCommit(snap *sharded.Snapshot[expiry.Entry], seq uint64) error {
 	baseName := persist.BaseName(seq)
 	err := persist.SaveDump(p.dir, baseName, func(fn func(k, v []byte, expireAtMS uint64) bool) {
-		for k, v := range snap.All() {
-			if !fn(p.s.keyer.Decode(k), v, uint64(expSnap.DeadlineMS(k))) {
-				return
-			}
-		}
+		snap.AscendKV(0, func(k uint64, e expiry.Entry) bool {
+			return fn(p.s.keyer.Decode(k), e.Value, uint64(e.DeadlineMS()))
+		})
 	})
 	if err != nil {
 		return err
@@ -553,12 +532,6 @@ func segmentsAtOrAfter(chain []string, seq uint64) []string {
 		}
 	}
 	return out
-}
-
-// snapshotIter is the slice of ShardedMapSnapshot the dump needs;
-// narrowing it keeps writeDumpAndCommit testable.
-type snapshotIter interface {
-	All() iter.Seq2[uint64, []byte]
 }
 
 // StartPeriodicSave triggers a BGSAVE-equivalent dump cycle every

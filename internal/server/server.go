@@ -1,6 +1,7 @@
 // Package server is nbtried's network layer: a pipelined, RESP2-subset
 // key-value server over the repository's sharded non-blocking Patricia
-// trie (ShardedMap[[]byte]). It is the first layer of the ROADMAP's
+// trie (expiry.Index: one leaf per key holding its value and its TTL).
+// It is the first layer of the ROADMAP's
 // "production-scale system serving heavy traffic": the paper's
 // lock-free engine does the synchronization, so the server needs no
 // lock around the data path at all — every connection goroutine calls
@@ -21,25 +22,29 @@
 //
 // # Command → engine-op mapping
 //
-//	GET     → ShardedMap.Load          (wait-free, 0-alloc in the trie)
-//	SET     → ShardedMap.Store         (lock-free upsert)
-//	DEL     → ShardedMap.Delete        (lock-free)
-//	EXISTS  → ShardedMap.Contains      (wait-free)
-//	MGET    → n × Load                 (each key individually linearizable)
-//	MSET    → n × Store                (not atomic across keys; documented)
-//	DBSIZE  → ShardedMap.Len           (per-shard atomic counters)
-//	SCAN    → ShardedMap.Ascend        (cursor = next trie key)
-//	RENAME  → ShardedMap.MoveKey       (the paper's atomic Replace when
+// Each key is one leaf of expiry.Index holding its value and deadline,
+// and each command is one update of that leaf:
+//
+//	GET/EXISTS/TTL/PTTL/MGET → Lookup (one wait-free 0-alloc descent
+//	          per key; a due key reads as absent and is purged)
+//	SET/MSET → Store (Swap: lock-free upsert that drops any deadline;
+//	          MSET is not atomic across keys)
+//	SETEX   → Store with a deadline (one Swap)
+//	DEL     → Delete (lock-free)
+//	EXPIRE/PEXPIRE/EXPIREAT/PEXPIREAT/PERSIST/GETEX → Expire (one
+//	          conditional UpdateFunc, applied only while the key is
+//	          live; a past deadline deletes instead)
+//	DBSIZE/SCAN → Keys().Len / Keys().Snapshot (cursor = next trie key)
+//	RENAME  → Move (the paper's atomic Replace, deadline included, when
 //	          the keys share a shard; a documented two-phase move —
 //	          insert-then-delete with an in-flight marker — across
 //	          shards, DESIGN.md §12)
-//	RENAMESTRICT → ShardedMap.ReplaceKey (atomic-only: cross-shard
-//	          pairs are refused with -CROSSSHARD, never emulated)
-//	EXPIRE/PEXPIRE/EXPIREAT/PEXPIREAT/TTL/PTTL/PERSIST/SETEX/GETEX
-//	        → expiry.Index             (secondary deadline-ordered trie;
-//	          lazy expiry on every read path + background reaper,
-//	          deadlines durable as absolute PEXPIREAT AOF records and
-//	          dump fields — DESIGN.md §12)
+//	RENAMESTRICT → Move, atomic only (cross-shard pairs are refused
+//	          with -CROSSSHARD, never emulated)
+//
+// A background reaper, woken by the index's deadline-ordered wake
+// nodes, purges keys nobody reads; deadlines are durable as absolute
+// PEXPIREAT AOF records and dump fields (DESIGN.md §12).
 //
 // Wire keys pass through a pluggable Keyer (see keyer.go); values are
 // stored as the raw request bytes (the RESP reader hands each argument
@@ -56,9 +61,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nbtrie"
 	"nbtrie/internal/expiry"
 	"nbtrie/internal/resp"
+	"nbtrie/internal/sharded"
 )
 
 // Version is reported by INFO.
@@ -112,14 +117,14 @@ type Config struct {
 type Server struct {
 	cfg   Config
 	keyer Keyer
-	db    *nbtrie.ShardedMap[[]byte]
 	start time.Time
 
-	// exp is the deadline-ordered expiry index (see internal/expiry and
+	// db is the keyspace: one leaf per key holding its value and its
+	// deadline, plus the reaper's wake index (see internal/expiry and
 	// expiry.go in this package); clock feeds every deadline comparison.
 	// The reaper goroutine wakes on the earliest armed deadline and
 	// range-scans everything due; reapStop/reapDone bound its lifetime.
-	exp      *expiry.Index
+	db       *expiry.Index
 	clock    func() int64
 	reapStop chan struct{}
 	reapDone chan struct{}
@@ -176,7 +181,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Span == 0 {
 		cfg.Span = 1
 	}
-	db, err := nbtrie.NewShardedMapSpan[[]byte](cfg.Keyer.Width(), cfg.Shards, cfg.Span)
+	db, err := expiry.NewSpan(cfg.Keyer.Width(), cfg.Shards, cfg.Span)
 	if err != nil {
 		return nil, err
 	}
@@ -184,20 +189,11 @@ func New(cfg Config) (*Server, error) {
 	if clock == nil {
 		clock = func() int64 { return time.Now().UnixMilli() }
 	}
-	// The expiry index shares the primary map's width and shard count so
-	// a key's TTL lives on the same shard partition as its value. It must
-	// exist before recovery runs: replayed PEXPIREAT records and dump
-	// deadlines land in it.
-	exp, err := expiry.New(cfg.Keyer.Width(), db.Shards())
-	if err != nil {
-		return nil, err
-	}
 	s := &Server{
 		cfg:      cfg,
 		keyer:    cfg.Keyer,
 		db:       db,
 		start:    time.Now(),
-		exp:      exp,
 		clock:    clock,
 		reapStop: make(chan struct{}),
 		reapDone: make(chan struct{}),
@@ -226,8 +222,11 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// DB exposes the backing map (tests and embedders).
-func (s *Server) DB() *nbtrie.ShardedMap[[]byte] { return s.db }
+// DB exposes the backing keyspace trie (tests and embedders): each
+// key's Entry carries its value and its deadline. Read it freely; write
+// through the server's commands, which keep the reaper's wake index in
+// step.
+func (s *Server) DB() *sharded.Trie[expiry.Entry] { return s.db.Keys() }
 
 // ListenAndServe listens on addr ("host:port") and serves until Close.
 func (s *Server) ListenAndServe(addr string) error {
@@ -467,7 +466,7 @@ func (s *Server) infoSections() []infoSection {
 			b.WriteString("engine:nbtrie-sharded-patricia\r\n")
 			fmt.Fprintf(b, "keyer:%s\r\n", s.keyer.Name())
 			fmt.Fprintf(b, "key_width_bits:%d\r\n", s.keyer.Width())
-			fmt.Fprintf(b, "shards:%d\r\n", s.db.Shards())
+			fmt.Fprintf(b, "shards:%d\r\n", s.db.Keys().Shards())
 			fmt.Fprintf(b, "trie_span_bits:%d\r\n", s.cfg.Span)
 			fmt.Fprintf(b, "uptime_in_seconds:%d\r\n", int64(time.Since(s.start).Seconds()))
 		}},
@@ -489,8 +488,8 @@ func (s *Server) infoSections() []infoSection {
 		{"commandstats", "Commandstats", s.commandstatsText},
 		{"latencystats", "Latencystats", s.latencystatsText},
 		{"expiry", "Expiry", func(b *strings.Builder) {
-			expired, passes := s.exp.Stats()
-			fmt.Fprintf(b, "keys_with_ttl:%d\r\n", s.exp.Len())
+			expired, passes := s.db.Stats()
+			fmt.Fprintf(b, "keys_with_ttl:%d\r\n", s.db.Len())
 			fmt.Fprintf(b, "expired_keys:%d\r\n", expired)
 			fmt.Fprintf(b, "reaper_passes:%d\r\n", passes)
 		}},
@@ -503,7 +502,7 @@ func (s *Server) infoSections() []infoSection {
 		}},
 		{"engine", "Engine", s.engineText},
 		{"keyspace", "Keyspace", func(b *strings.Builder) {
-			fmt.Fprintf(b, "db0:keys=%d\r\n", s.db.Len())
+			fmt.Fprintf(b, "db0:keys=%d\r\n", s.db.Keys().Len())
 		}},
 	}
 }

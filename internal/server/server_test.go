@@ -442,7 +442,7 @@ func TestServerGracefulClose(t *testing.T) {
 		t.Fatal("connection survived Close")
 	}
 	// Data outlives the listener (the map belongs to the Server).
-	if v, ok := s.DB().Load(mustEncode(t, BytesKeyer{}, "k")); !ok || !bytes.Equal(v, []byte("v")) {
+	if e, ok := s.DB().Load(mustEncode(t, BytesKeyer{}, "k")); !ok || !bytes.Equal(e.Value, []byte("v")) {
 		t.Fatal("stored value lost across Close")
 	}
 	// Double Close is fine; Serve after Close refuses.

@@ -171,6 +171,47 @@ func TestMoveKeyOverwriteIdentity(t *testing.T) {
 	}
 }
 
+// TestMoveKeyStructValue moves a struct value carrying a slice — not
+// comparable with ==, so phase 3's identity check must compare it field
+// by field (slice by identity, the rest by ==). A move must delete the
+// source, and an overwrite inside the move window that keeps the slice
+// but changes another field must survive it.
+func TestMoveKeyStructValue(t *testing.T) {
+	type stamped struct {
+		v  []byte
+		at uint64
+	}
+	tr, err := New[stamped](16, 8)
+	if err != nil {
+		t.Fatalf("New(16, 8): %v", err)
+	}
+	val := stamped{v: []byte("v"), at: 7}
+	tr.Store(100, val)
+	moved, err := tr.MoveKey(100, 8292)
+	if !moved || err != nil {
+		t.Fatalf("MoveKey = %v, %v", moved, err)
+	}
+	if tr.Contains(100) {
+		t.Fatal("source survived a cross-shard move of a struct value: the key exists twice")
+	}
+	if v, ok := tr.Load(8292); !ok || string(v.v) != "v" || v.at != 7 {
+		t.Fatalf("Load(dest) = %+v, %v", v, ok)
+	}
+
+	tr.Store(200, val)
+	tr.moveHook = func(phase int) {
+		if phase == 2 {
+			tr.Store(200, stamped{v: val.v, at: 8}) // same slice, new stamp
+		}
+	}
+	if moved, err := tr.MoveKey(200, 8392); !moved || err != nil {
+		t.Fatalf("MoveKey = %v, %v", moved, err)
+	}
+	if v, ok := tr.Load(200); !ok || v.at != 8 {
+		t.Fatalf("Load(source) = %+v, %v; a mid-move overwrite must survive phase 3", v, ok)
+	}
+}
+
 // TestMoveKeyCrashAfterInsert kills the mover (simulated with a hook
 // panic) between phase 2 (destination inserted) and phase 3 (source
 // deleted): both copies exist, the marker records the move, and

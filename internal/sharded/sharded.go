@@ -230,11 +230,18 @@ func (t *Trie[V]) Delete(k uint64) bool {
 // Store binds k to val, inserting or overwriting (lock-free upsert). It
 // returns false only for out-of-range keys.
 func (t *Trie[V]) Store(k uint64, val V) bool {
+	_, _, ok := t.Swap(k, val)
+	return ok
+}
+
+// Swap is Store that also returns the value it replaced (loaded false
+// when k was absent). ok is false only for out-of-range keys.
+func (t *Trie[V]) Swap(k uint64, val V) (old V, loaded, ok bool) {
 	sh, rest, ok := t.locate(k)
 	if !ok {
-		return false
+		return old, false, false
 	}
-	return sh.Store(rest, val)
+	return sh.Swap(rest, val)
 }
 
 // LoadOrStore returns the value bound to k if present (loaded true);
@@ -254,6 +261,14 @@ func (t *Trie[V]) LoadOrStore(k uint64, val V) (actual V, loaded, ok bool) {
 func (t *Trie[V]) CompareAndSwap(k uint64, old, new V) bool {
 	sh, rest, ok := t.locate(k)
 	return ok && sh.CompareAndSwap(rest, old, new)
+}
+
+// UpdateFunc rebinds k to f(cur) when k is present and f approves its
+// current value, returning true iff the update happened. f may run more
+// than once under contention and must be side-effect free.
+func (t *Trie[V]) UpdateFunc(k uint64, f func(cur V) (V, bool)) bool {
+	sh, rest, ok := t.locate(k)
+	return ok && sh.UpdateFunc(rest, f)
 }
 
 // CompareAndDelete deletes k if its stored value equals old (interface
@@ -365,22 +380,34 @@ func (t *Trie[V]) MoveKey(from, to uint64) (bool, error) {
 // identical reports whether two stored values are the same stored value
 // — allocation identity, not content equality. Slices match on backing
 // array and length (zero-length slices have no element to anchor on, so
-// length equality is the whole check — the same test the server's expiry
-// purge applies); other reference kinds match on their referent pointer;
-// plain comparable values fall back to ==. A fresh allocation with equal
-// content is deliberately NOT identical: a value stored by a concurrent
-// writer must never satisfy a conditional delete aimed at the value a
-// mover loaded earlier.
+// length equality is the whole check); other reference kinds match on
+// their referent pointer; structs match field by field under these same
+// rules (a struct holding a slice is not ==-comparable, yet it has an
+// identity); plain comparable values fall back to ==. A fresh
+// allocation with equal content is deliberately NOT identical: a value
+// stored by a concurrent writer must never satisfy a conditional delete
+// aimed at the value a mover loaded earlier.
 func identical[V any](a, b V) bool {
-	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
-	switch va.Kind() {
+	return sameValue(reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem())
+}
+
+// sameValue is identical over reflected values of one type.
+func sameValue(a, b reflect.Value) bool {
+	switch a.Kind() {
 	case reflect.Slice:
-		return va.Len() == vb.Len() &&
-			(va.Len() == 0 || va.UnsafePointer() == vb.UnsafePointer())
+		return a.Len() == b.Len() &&
+			(a.Len() == 0 || a.UnsafePointer() == b.UnsafePointer())
 	case reflect.Map, reflect.Chan, reflect.Func, reflect.Pointer, reflect.UnsafePointer:
-		return va.UnsafePointer() == vb.UnsafePointer()
+		return a.UnsafePointer() == b.UnsafePointer()
+	case reflect.Struct:
+		for i := range a.NumField() {
+			if !sameValue(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
 	default:
-		return va.Comparable() && va.Equal(vb)
+		return a.Comparable() && a.Equal(b)
 	}
 }
 
